@@ -23,7 +23,6 @@ let metrics_file = ref None
 let wall_file = ref None
 let trace_file = ref None
 let policy = ref Extmem.Frame_arena.Lru
-let jobs = ref 1
 
 (* --cost: put a simulated-time (hdd) layer on every device — the
    endpoints below and, via the config's device spec, the sorters'
@@ -42,22 +41,21 @@ let maybe_costed dev =
 module Config = struct
   include Nexsort.Config
 
-  (* every bench config inherits the harness-wide device spec, replacement
-     policy and worker count; --no-fuse overrides the fusion default for
+  (* every bench config inherits the harness-wide device spec and
+     replacement policy; --no-fuse overrides the fusion default for
      experiments that don't pin it *)
   let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?root_fusion
-      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?pager_policy ?jobs:j
-      ?tracer () =
+      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?pager_policy ?tracer
+      () =
     let root_fusion =
       match root_fusion with
       | Some _ as r -> r
       | None -> if !no_fuse then Some false else None
     in
     let pager_policy = Option.value pager_policy ~default:!policy in
-    let jobs = Option.value j ~default:!jobs in
     Nexsort.Config.make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration
       ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace
-      ~pager_policy ~jobs ?tracer ~device:(bench_spec ()) ()
+      ~pager_policy ?tracer ~device:(bench_spec ()) ()
 end
 
 let ordering = Ordering.by_attr "id"
@@ -543,12 +541,11 @@ let tenants () =
   subnote "input: %d elements; per-job memory 16 blocks of 1 KiB; engine fits 2 jobs"
     stats.Xmlgen.Gen.elements;
   let xml = Extmem.Device.contents doc in
-  let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs:1 () in
-  let per_job = Nexsort.Session.job_blocks config + Nexsort.Session.ext_blocks config in
+  let config = Config.make ~block_size:1024 ~memory_blocks:16 () in
   let reference = run_nexsort ~config (with_block_size 1024 doc) in
   List.iter
     (fun k ->
-      let eng = Engine.create ~memory_blocks:(2 * per_job) ~block_size:1024 () in
+      let eng = Engine.create ~memory_blocks:(2 * config.Config.memory_blocks) ~block_size:1024 () in
       let one tenant =
         Engine.run eng ~tenant config (fun job session ->
             let input = Extmem.Device.of_string ~name:"input" ~block_size:1024 xml in
@@ -816,8 +813,7 @@ let micro () =
    Absolute numbers are machine-dependent, so the companion compare-wall
    gate only fails on a > 3x slowdown against the committed baseline —
    enough to catch an accidentally quadratic inner loop without flaking
-   on a busy CI box.  On a single-core box --jobs 4 measures the
-   coordination overhead of the worker pool, not a speedup. *)
+   on a busy CI box. *)
 
 let wall () =
   heading "wall / bechamel: end-to-end wall clock (loose CI gate)";
@@ -825,8 +821,8 @@ let wall () =
   let doc, stats = fig5_doc () in
   subnote "input: %d elements; block size 1 KiB, memory 16 blocks" stats.Xmlgen.Gen.elements;
   let contents = Extmem.Device.contents doc in
-  let nexsort ~jobs () =
-    let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs () in
+  let nexsort () =
+    let config = Config.make ~block_size:1024 ~memory_blocks:16 () in
     let input = Extmem.Device.of_string ~name:"input" ~block_size:1024 contents in
     let output = Extmem.Device.in_memory ~name:"out" ~block_size:1024 () in
     ignore (Nexsort.sort_device ~config ~ordering ~input ~output () : Nexsort.report)
@@ -838,7 +834,7 @@ let wall () =
   let tracer = Obs.Tracer.create () in
   let nexsort_traced () =
     Obs.Tracer.reset tracer;
-    let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs:1 ~tracer () in
+    let config = Config.make ~block_size:1024 ~memory_blocks:16 ~tracer () in
     let input = Extmem.Device.of_string ~name:"input" ~block_size:1024 contents in
     let output = Extmem.Device.in_memory ~name:"out" ~block_size:1024 () in
     Nexsort.Config.attach_tracing config ~name:"input" input;
@@ -887,8 +883,7 @@ let wall () =
   let tests =
     Test.make_grouped ~name:"wall"
       [
-        Test.make ~name:"nexsort-j1" (Staged.stage (nexsort ~jobs:1));
-        Test.make ~name:"nexsort-j4" (Staged.stage (nexsort ~jobs:4));
+        Test.make ~name:"nexsort-j1" (Staged.stage nexsort);
         Test.make ~name:"nexsort-traced" (Staged.stage nexsort_traced);
         Test.make ~name:"mergesort" (Staged.stage mergesort);
         Test.make ~name:"codec-decode" (Staged.stage codec_decode);
@@ -1148,17 +1143,6 @@ let () =
         parse rest
     | "--trace" :: [] ->
         prerr_endline "--trace requires a file argument";
-        exit 2
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 && j <= 64 ->
-            jobs := j;
-            parse rest
-        | _ ->
-            Printf.eprintf "--jobs: expected a worker count between 1 and 64, got %S\n" n;
-            exit 2)
-    | "--jobs" :: [] ->
-        prerr_endline "--jobs requires a worker count";
         exit 2
     | "--policy" :: name :: rest -> (
         match Extmem.Frame_arena.policy_of_string name with

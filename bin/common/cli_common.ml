@@ -99,22 +99,14 @@ let config_term =
   let keep_whitespace =
     Arg.(value & flag & info [ "keep-whitespace" ] ~doc:"Preserve whitespace-only text nodes.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for parallel subtree sorting (1-64).  Output and I/O counters are \
-             identical for every value; 1 (the default) runs fully single-threaded.")
-  in
   let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace no_fuse
-      encoding pager_policy jobs =
+      encoding pager_policy =
     (* Config.make rejects inconsistent sizes; surface that as a clean
        one-line CLI error instead of an uncaught exception *)
     match
       Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
         ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ~encoding ~keep_whitespace
-        ~pager_policy ~jobs ()
+        ~pager_policy ()
     with
     | config -> Ok config
     | exception Invalid_argument msg -> Error msg
@@ -122,7 +114,7 @@ let config_term =
   Term.term_result'
     Term.(
       const build $ block_size $ memory_blocks $ threshold $ depth_limit $ no_degeneration
-      $ keep_whitespace $ no_fuse_term $ encoding_term $ policy_term $ jobs)
+      $ keep_whitespace $ no_fuse_term $ encoding_term $ policy_term)
 
 let device_term =
   let parse s =
@@ -169,7 +161,7 @@ let trace_term =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace_event timeline of the run to $(docv) (open in Perfetto or \
-           chrome://tracing; analyse offline with $(b,nextrace)).  Spans, per-worker tracks, \
+           chrome://tracing; analyse offline with $(b,nextrace)).  Phase spans, \
            arena evictions and per-I/O latencies are recorded into bounded per-domain ring \
            buffers; overflow drops events (counted) rather than blocking.")
 

@@ -50,23 +50,21 @@ let differential_config ~seed i =
     else Nexsort.Config.Dict
   in
   let depth_limit = if i mod 7 = 5 then Some 2 else None in
+  (* decorrelated from the fusion pick: [fuse] (i / 4 mod 2) holds for
+     runs of four cases, longer than the device period (i mod 3), so every
+     (device, fuse) combination appears within one 8-case fusion cycle *)
   let device =
     if i mod 3 = 0 then Extmem.Device_spec.parse "traced/mem" else Extmem.Device_spec.default
   in
-  (* decorrelated from the device (i mod 3) and fusion (i / 4 mod 2)
-     picks: over a 12-case cycle every (jobs, device, fuse) combination
-     appears, so parallel runs are differentially checked on every path *)
-  let jobs = [| 1; 2; 4 |].(i / 4 mod 3) in
   let config =
     Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ~encoding
-      ~device ~pager_policy:policy ~jobs ()
+      ~device ~pager_policy:policy ()
   in
   let cli_flags =
-    Printf.sprintf "-O '%s' -B %d -M %d --policy %s --encoding %s --jobs %d%s%s%s" ordering_spec
+    Printf.sprintf "-O '%s' -B %d -M %d --policy %s --encoding %s%s%s%s" ordering_spec
       block_size memory_blocks
       (Extmem.Frame_arena.policy_to_string policy)
       (match encoding with Plain -> "plain" | Dict -> "dict" | Packed -> "packed")
-      jobs
       (if fuse then "" else " --no-fuse")
       (match depth_limit with None -> "" | Some d -> Printf.sprintf " -d %d" d)
       (if i mod 3 = 0 then " --device traced/mem" else "")
@@ -240,9 +238,6 @@ let run_fault_case ~seed j =
   let fuse = j / 4 mod 2 = 0 in
   let block_size = 512 in
   let kind = j mod 3 in
-  (* decorrelated from the fault kind (j mod 3): faults must also abort
-     cleanly when they fire inside a worker domain *)
-  let jobs = [| 1; 2; 4 |].(j / 4 mod 3) in
   let device =
     if kind = 0 then
       Extmem.Device_spec.parse (Printf.sprintf "faulty:p=0.02,seed=%d/mem" (seed + j))
@@ -250,7 +245,7 @@ let run_fault_case ~seed j =
   in
   let config =
     Nexsort.Config.make ~block_size ~memory_blocks:16 ~root_fusion:fuse ~device
-      ~pager_policy:policy ~jobs ()
+      ~pager_policy:policy ()
   in
   let ( >>= ) r f = Result.bind r f in
   Verify.Probes.clear ();
@@ -447,10 +442,7 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
   in
   let engine_bs = 4096 in
   let engine_blocks cc =
-    let bytes =
-      (Nexsort.Session.job_blocks cc.config + Nexsort.Session.ext_blocks cc.config)
-      * cc.config.Nexsort.Config.block_size
-    in
+    let bytes = cc.config.Nexsort.Config.memory_blocks * cc.config.Nexsort.Config.block_size in
     (bytes + engine_bs - 1) / engine_bs
   in
   let max_job =
@@ -571,9 +563,7 @@ let run smoke seed cases fault_cases update_cases only faults_only updates_only 
         in
         print_failure ~seed ~kind:"fault" ~case:j
           ~cli_flags:
-            (Printf.sprintf "--policy %s --jobs %d"
-               (Extmem.Frame_arena.policy_to_string policies.(j mod 4))
-               [| 1; 2; 4 |].(j / 4 mod 3))
+            ("--policy " ^ Extmem.Frame_arena.policy_to_string policies.(j mod 4))
           ~doc msg
   in
   let updates_aborted = ref 0 in

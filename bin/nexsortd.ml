@@ -540,8 +540,8 @@ let serve_socket path d =
   in
   accept_loop ()
 
-let run memory block_size workers socket jobfile =
-  let engine = Engine.create ~workers ~memory_blocks:memory ~block_size () in
+let run memory block_size socket jobfile =
+  let engine = Engine.create ~memory_blocks:memory ~block_size () in
   let d = { engine; merge_lock = Mutex.create (); jobs = []; next_id = 1 } in
   let code =
     match (socket, jobfile) with
@@ -569,14 +569,6 @@ let cmd =
       value & opt int 4096
       & info [ "block-size"; "B" ] ~docv:"BYTES" ~doc:"Engine budget block size.")
   in
-  let workers_term =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker domains in the shared sort pool (0: no shared pool; jobs with \
-             $(b,--jobs) > 1 then spawn private pools).")
-  in
   let socket_term =
     Arg.(
       value & opt (some string) None
@@ -588,6 +580,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "nexsortd" ~version:"1.0.0" ~doc)
-    Term.(const run $ memory_term $ block_size_term $ workers_term $ socket_term $ jobfile_term)
+    Term.(const run $ memory_term $ block_size_term $ socket_term $ jobfile_term)
 
 let () = exit (Cmd.eval cmd)

@@ -16,14 +16,13 @@ type t = {
   keep_whitespace : bool;
   device : Extmem.Device_spec.t;
   pager_policy : Extmem.Pager.policy;
-  jobs : int;
   tracer : Obs.Tracer.t;
 }
 
 let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(degeneration = true)
     ?(root_fusion = true) ?(encoding = Dict) ?data_stack_blocks ?(path_stack_blocks = 2)
     ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default)
-    ?(pager_policy = Extmem.Pager.Lru) ?(jobs = 1) ?(tracer = Obs.Tracer.null) () =
+    ?(pager_policy = Extmem.Pager.Lru) ?(tracer = Obs.Tracer.null) () =
   let threshold = Option.value threshold ~default:(2 * block_size) in
   (* The data stack oscillates: entries accumulate until a subtree reaches
      the threshold and is truncated away.  A window that covers twice the
@@ -48,7 +47,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
   | Some _ | None -> ());
   if data_stack_blocks < 1 then invalid_arg "Config: data_stack_blocks must be >= 1";
   if path_stack_blocks < 2 then invalid_arg "Config: path_stack_blocks must be >= 2";
-  if jobs < 1 || jobs > 64 then invalid_arg "Config: jobs must be between 1 and 64";
   {
     block_size;
     memory_blocks;
@@ -62,7 +60,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
     keep_whitespace;
     device;
     pager_policy;
-    jobs;
     tracer;
   }
 

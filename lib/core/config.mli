@@ -44,15 +44,10 @@ type t = {
           so this mainly steers auxiliary structures like the indexed
           merge's B-tree pager); the data stack always pages under the
           paper's no-prefetch stack rule *)
-  jobs : int;
-      (** worker domains for parallel subtree sorting (1..64); 1 runs
-          the sort single-threaded on today's exact code path.  Output
-          and I/O counters are identical for every value — see DESIGN's
-          "Parallel execution" section *)
   tracer : Obs.Tracer.t;
       (** event-trace sink for the session ({!Obs.Tracer.null} = tracing
           off, the default).  When enabled, every scratch device gets a
-          [Layer.timed] latency middleware, phase spans and pool/arena
+          [Layer.timed] latency middleware, phase spans and arena
           events flow onto per-domain tracks, and the CLI flushes the
           trace with [--trace FILE] *)
 }
@@ -70,19 +65,18 @@ val make :
   ?keep_whitespace:bool ->
   ?device:Extmem.Device_spec.t ->
   ?pager_policy:Extmem.Pager.policy ->
-  ?jobs:int ->
   ?tracer:Obs.Tracer.t ->
   unit ->
   t
 (** Defaults: 4 KiB blocks, 64 memory blocks, threshold [2 * block_size],
     no depth limit, degeneration and root fusion on, [Dict] encoding, 2 path-stack
-    resident blocks, whitespace dropped, 1 job.  The data-stack window
+    resident blocks, whitespace dropped.  The data-stack window
     defaults to covering twice the threshold (so the stack's oscillation
     between subtree collapses stays resident), clamped so the fixed
     buffers and a 3-block sort arena still fit the memory budget.
     @raise Invalid_argument on inconsistent values (non-positive sizes,
     [memory_blocks < 8], threshold smaller than one block, windows too
-    small, jobs outside 1..64). *)
+    small). *)
 
 val memory_bytes : t -> int
 

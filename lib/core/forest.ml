@@ -6,8 +6,7 @@
    never materialized, and emission re-uses the original encoded payloads
    verbatim (only synthesized End entries are encoded here, and they
    carry no names).  Everything is pure given its arguments — no session,
-   no devices, no shared state — which is what lets [Sort_pool] run it
-   inside worker domains.  The session-flavoured wrappers live in
+   no devices, no shared state.  The session-flavoured wrappers live in
    [Subtree_sort]. *)
 
 type node = {
@@ -120,9 +119,8 @@ let rec emit_node ~packed scratch emit n =
 (* ---- key-path record streams (external subtree sorts, §3.1) ----
 
    Like the forest half above, these are pure given their arguments —
-   entry views in, encoded key-path records out — so [Sort_pool] workers
-   can run a full external subtree sort without touching the session.
-   The session-flavoured wrappers stay in [Subtree_sort]. *)
+   entry views in, encoded key-path records out.  The session-flavoured
+   wrappers stay in [Subtree_sort]. *)
 
 (* The component an entry contributes to key paths: its resolved key and
    position, with the key suppressed below the depth limit so deeper

@@ -6,9 +6,8 @@
     decodes names, attributes or text, and emission passes the original
     encoded payloads through byte-identical (End entries synthesized in
     unpacked mode are the only bytes produced here).  No session, device
-    or shared state is touched, so these functions are safe to run inside
-    worker domains ({!Sort_pool}).  {!Subtree_sort} wraps them for the
-    single-threaded path. *)
+    or shared state is touched; {!Subtree_sort} binds them to a
+    session. *)
 
 type node = {
   view : Entry.View.t;
@@ -47,8 +46,7 @@ val forest_pull : packed:bool -> node list -> unit -> string option
     The pure half of an {e external} subtree sort (§3.1): entry views in,
     encoded {!Keypath} records out, and reconstruction of sorted records
     back into entries.  Like the forest functions, these touch no session
-    or shared state, so {!Sort_pool} workers can run a whole run-spilling
-    subtree sort on a private scratch device. *)
+    or shared state. *)
 
 val forward_records :
   enc:Extmem.Codec.Enc.t ->

@@ -10,13 +10,8 @@ type t = {
   temp_stats : Extmem.Io_stats.t;
   mutable temp_sim_ms : float;
   registry : Obs.Registry.t;
-  pool : (Sort_pool.t * Sort_pool.view) option;
-  pool_host : Sort_pool.t option;
-      (* a pool spawned for this session alone (standalone [--jobs N]);
-         shut down at destroy.  [None] when the pool is engine-shared. *)
   poll : unit -> unit;
   enc_scratch : Extmem.Codec.Enc.t;
-      (* main-thread encode scratch; workers carry their own *)
   mutable destroyed : bool;
 }
 
@@ -43,33 +38,12 @@ let register_probes t =
   Obs.Probe.device reg ~prefix:"runs" (Extmem.Run_store.device t.runs);
   Obs.Probe.frame_arena reg ~prefix:"arena" t.arena
 
-(* How many pool workers serve this config: the shared pool's worker
-   count when one is given, else the config's own [jobs]; zero on the
-   single-threaded path (the pool is not used at all). *)
-let pool_workers ?pool (config : Config.t) =
-  if config.Config.jobs <= 1 then 0
-  else match pool with Some p -> Sort_pool.workers p | None -> config.Config.jobs
-
-(* The size of a job's budget: the algorithm-visible [memory_blocks]
-   plus the pool writer buffers the view reserves on top, so the blocks
-   the algorithm can see — and every size-based decision — are identical
-   to the single-threaded path.  Engine admission carves exactly this. *)
-let job_blocks ?pool (config : Config.t) =
-  config.Config.memory_blocks + (pool_workers ?pool config * Sort_pool.slab_blocks)
-
-(* Headroom for offloaded external subtree sorts: each in-flight
-   external task carves at most the job's full arena, and at most one
-   task per worker is in flight. *)
-let ext_blocks ?pool (config : Config.t) =
-  pool_workers ?pool config * config.Config.memory_blocks
-
-let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
-  let workers = pool_workers ?pool config in
+let create ?budget ?(poll = ignore) (config : Config.t) =
   let budget =
     match budget with
     | Some b -> b
     | None ->
-        Extmem.Memory_budget.create ~blocks:(job_blocks ?pool config)
+        Extmem.Memory_budget.create ~blocks:config.Config.memory_blocks
           ~block_size:config.Config.block_size
   in
   let arena =
@@ -83,29 +57,6 @@ let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
   let stack_dev name = Config.scratch_device config ~name in
   let dict = Xmlio.Dict.create () in
   let runs = Extmem.Run_store.create (stack_dev "runs") in
-  let pool_host, the_pool =
-    if workers = 0 then (None, None)
-    else
-      match pool with
-      | Some p -> (None, Some p)
-      | None ->
-          let p = Sort_pool.create ~tracer ~workers () in
-          (Some p, Some p)
-  in
-  let pool =
-    match the_pool with
-    | None -> None
-    | Some p ->
-        let ext_budget =
-          match ext_budget with
-          | Some _ as eb -> eb
-          | None ->
-              Some
-                (Extmem.Memory_budget.create ~blocks:(ext_blocks ~pool:p config)
-                   ~block_size:config.Config.block_size)
-        in
-        Some (p, Sort_pool.view p ~config ~runs ~budget ~ext_budget)
-  in
   (* The input buffer is charged by the scan pipeline stage (see
      [Sorter.scan_source]), not here.  Each stack leases its own window
      from the arena — "data stack window", "path stack window",
@@ -131,8 +82,6 @@ let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
       temp_stats = Extmem.Io_stats.create ();
       temp_sim_ms = 0.;
       registry = Obs.Registry.create ();
-      pool;
-      pool_host;
       poll;
       enc_scratch = Extmem.Codec.Enc.create ~capacity:256 ();
       destroyed = false;
@@ -141,26 +90,9 @@ let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
   register_probes t;
   t
 
-let sync t =
-  match t.pool with
-  | Some (p, v) ->
-      (* the one barrier: everything between these events is the main
-         thread waiting on (and installing behind) worker completions *)
-      let tracer = t.config.Config.tracer in
-      Obs.Tracer.begin_s tracer "pool.drain";
-      Fun.protect ~finally:(fun () -> Obs.Tracer.end_s tracer "pool.drain") (fun () ->
-          Sort_pool.drain p v)
-  | None -> ()
-
 let destroy t =
   if not t.destroyed then begin
     t.destroyed <- true;
-    (* the view first: waiting out in-flight worker tasks and returning
-       the writer buffers must precede the teardown probes on every exit
-       path, including a worker raising mid-sort.  Engine-shared pools
-       survive — only this job's view closes. *)
-    (match t.pool with Some (p, v) -> Sort_pool.close_view p v | None -> ());
-    (match t.pool_host with Some p -> Sort_pool.shutdown p | None -> ());
     Extmem.Ext_stack.close t.data_stack;
     Extmem.Ext_stack.close t.path_stack;
     Extmem.Ext_stack.close t.out_stack;
@@ -180,9 +112,6 @@ let arena_bytes t =
   + Extmem.Ext_stack.borrowed t.data_stack * Extmem.Memory_budget.block_size t.budget
 
 let reclaim t = Extmem.Ext_stack.shed t.data_stack
-
-let leaked_blocks t =
-  match t.pool with Some (_, v) -> Sort_pool.leaked_blocks v | None -> 0
 
 let with_temp t f =
   reclaim t;
@@ -205,20 +134,8 @@ let io_breakdown t =
     ("data stack", Extmem.Io_stats.snapshot (Extmem.Ext_stack.io_stats t.data_stack));
     ("path stack", Extmem.Io_stats.snapshot (Extmem.Ext_stack.io_stats t.path_stack));
     ("output location stack", Extmem.Io_stats.snapshot (Extmem.Ext_stack.io_stats t.out_stack));
-    ( "runs",
-      (* runs I/O covers every device runs live on: the store's own plus
-         this job's worker scratch devices *)
-      let main = Extmem.Io_stats.snapshot (Extmem.Device.stats (Extmem.Run_store.device t.runs)) in
-      match t.pool with
-      | Some (_, v) -> Extmem.Io_stats.add main (Sort_pool.io v)
-      | None -> main );
-    ( "scratch",
-      (* retired temp devices: the main thread's plus the workers'
-         (offloaded external subtree sorts) *)
-      let main = Extmem.Io_stats.snapshot t.temp_stats in
-      match t.pool with
-      | Some (_, v) -> Extmem.Io_stats.add main (Sort_pool.temp_io v)
-      | None -> main );
+    ("runs", Extmem.Io_stats.snapshot (Extmem.Device.stats (Extmem.Run_store.device t.runs)));
+    ("scratch", Extmem.Io_stats.snapshot t.temp_stats);
   ]
 
 let total_io t =
@@ -231,7 +148,4 @@ let simulated_ms t =
   +. Extmem.Device.simulated_ms (Extmem.Ext_stack.device t.path_stack)
   +. Extmem.Device.simulated_ms (Extmem.Ext_stack.device t.out_stack)
   +. Extmem.Device.simulated_ms (Extmem.Run_store.device t.runs)
-  +. (match t.pool with
-     | Some (_, v) -> Sort_pool.sim_ms v +. Sort_pool.temp_sim_ms v
-     | None -> 0.)
   +. t.temp_sim_ms

@@ -10,9 +10,8 @@
 
     A session is {e one job's view} of its resources.  Standalone it
     creates everything itself; under an {!Engine} it is handed a budget
-    carved from the engine's, a view of the engine's shared
-    {!Sort_pool}, and a poll hook for cooperative cancellation — the
-    session never knows the difference. *)
+    carved from the engine's and a poll hook for cooperative
+    cancellation — the session never knows the difference. *)
 
 type t = {
   config : Config.t;
@@ -40,44 +39,18 @@ type t = {
           ([stack.data.*], [stack.path.*], [stack.out.*]), run store
           ([runs.store.*]) and their devices ([dev.*]); see
           {!Obs.Probe} *)
-  pool : (Sort_pool.t * Sort_pool.view) option;
-      (** the worker pool serving this job and this job's view of it;
-          [None] when [config.jobs = 1] (the single-threaded code path).
-          The pool may be shared with other jobs (engine); the view
-          never is. *)
-  pool_host : Sort_pool.t option;
-      (** a pool spawned for this session alone (standalone
-          [--jobs N]); shut down at {!destroy}.  [None] when the pool in
-          {!field-pool} is engine-shared, or when there is no pool. *)
   poll : unit -> unit;
       (** cooperative cancellation hook, called at scan and output
           checkpoints; raises to abort the job (the engine's poll raises
           [Engine.Cancelled]).  Defaults to a no-op. *)
   enc_scratch : Extmem.Codec.Enc.t;
-      (** reusable encode scratch for the main thread's record path
-          (entry/record encoding between phases); worker domains carry
-          their own — never share this across domains *)
+      (** reusable encode scratch for the record path (entry/record
+          encoding between phases); never share this across domains *)
   mutable destroyed : bool;  (** set by {!destroy} *)
 }
 
-val job_blocks : ?pool:Sort_pool.t -> Config.t -> int
-(** The budget size one job needs: the algorithm-visible
-    [config.memory_blocks] plus the pool writer buffers its view
-    reserves on top ([workers * Sort_pool.slab_blocks] when
-    [config.jobs > 1], with the worker count taken from [pool] when the
-    job will share one).  {!create} sizes its own budget this way;
-    engine admission carves exactly this much, so the blocks the
-    algorithm can see are identical either way. *)
-
-val ext_blocks : ?pool:Sort_pool.t -> Config.t -> int
-(** Headroom blocks for offloaded external subtree sorts: each
-    in-flight external task carves at most the job's full arena, one
-    task per worker.  Zero when [config.jobs = 1]. *)
-
 val create :
   ?budget:Extmem.Memory_budget.t ->
-  ?pool:Sort_pool.t ->
-  ?ext_budget:Extmem.Memory_budget.t ->
   ?poll:(unit -> unit) ->
   Config.t ->
   t
@@ -92,26 +65,11 @@ val create :
     never touch another tenant's blocks.
 
     [budget] supplies the job's memory (an engine-carved sub-budget); it
-    must hold {!job_blocks} blocks.  Omitted, a private budget of that
-    size is created.
-
-    When [config.jobs > 1] the session sorts subtrees through a
-    {!Sort_pool}: [pool] names a shared (engine) pool to open a view on,
-    else a private pool of [config.jobs] workers is spawned (and shut
-    down at {!destroy}).  The view's writer buffers are reserved in the
-    job budget — which {!job_blocks} inflates by exactly that much, so
-    the [memory_blocks] visible to the algorithm, and every size-based
-    decision, are unchanged.  [ext_budget] supplies the headroom
-    offloaded external sorts carve their arenas from ({!ext_blocks}
-    blocks); omitted, a private one is created.
+    must hold [config.memory_blocks] blocks.  Omitted, a private budget
+    of that size is created.
 
     [poll] is called at scan and output checkpoints; raise from it to
     abort the job cooperatively. *)
-
-val sync : t -> unit
-(** Barrier over the worker pool ({!Sort_pool.drain}): every submitted
-    subtree sort is finished and installed afterwards.  Re-raises the
-    first worker failure in run-id order.  A no-op with one job. *)
 
 val arena_bytes : t -> int
 (** Internal-memory bytes available to a subtree sort right now (also the
@@ -124,18 +82,10 @@ val reclaim : t -> unit
     (evicting the window down to its configured size), so a phase about
     to reserve arena memory actually finds it available. *)
 
-val leaked_blocks : t -> int
-(** Blocks aborted offloaded external sorts failed to return to their
-    arenas (see {!Sort_pool.leaked_blocks}); zero on the single-threaded
-    path.  The engine folds this into its per-job leak accounting. *)
-
 val destroy : t -> unit
-(** Tear the session down: close the pool view first (waiting out
-    in-flight worker tasks and returning the writer buffers — also when
-    a worker raised mid-sort), shut down the pool if this session owns
-    it, close every stack window (frames and leases go back to the
-    budget, nothing is flushed), close the stack and run devices, then
-    run the registered {!add_destroy_probe} hooks.  Idempotent; costs no
+(** Tear the session down: close every stack window (frames and leases
+    go back to the budget, nothing is flushed), close the stack and run
+    devices, then run the registered {!add_destroy_probe} hooks.  Idempotent; costs no
     I/O.  {!Sorter} destroys its session on every exit path, so after a
     sort — successful or aborted — the budget holds zero blocks unless a
     phase leaked (which the probes exist to catch). *)
@@ -157,7 +107,7 @@ val with_temp : t -> (Extmem.Device.t -> 'a) -> 'a
 
 val encode_entry : t -> Entry.t -> string
 (** {!Entry.encode} under the session's encoding and dictionary (through
-    the session's scratch encoder; main thread only). *)
+    the session's scratch encoder). *)
 
 val decode_entry : t -> string -> Entry.t
 
@@ -167,8 +117,7 @@ val view_entry : t -> string -> Entry.View.t
 
 val io_breakdown : t -> (string * Extmem.Io_stats.t) list
 (** Per-component I/O counters: data/path/output-location stacks, runs
-    (the store's device plus this job's worker scratch devices), scratch
-    (retired temp devices, main-thread and offloaded). *)
+    (the store's device), scratch (retired temp devices). *)
 
 val total_io : t -> Extmem.Io_stats.t
 (** Sum of {!io_breakdown} (input and output devices are owned by the

@@ -32,8 +32,6 @@ type report = {
   spans : Obs.Span.t;
   metrics : Obs.Json.t;
   arena : (string * Extmem.Frame_arena.owner_stats) list;
-  jobs : int;
-  workers : Sort_pool.worker_stats list;
 }
 
 (* ---- path-stack frames ----
@@ -144,13 +142,6 @@ let collect_views st ~from_ =
       acc := Session.view_entry st.session payload :: !acc);
   List.rev !acc
 
-(* Same range as raw encoded payloads (for handoff to worker domains). *)
-let collect_payloads st ~from_ =
-  let acc = ref [] in
-  Extmem.Ext_stack.iter_entries_from st.session.Session.data_stack ~pos:from_ (fun payload ->
-      acc := payload :: !acc);
-  List.rev !acc
-
 (* ---- graceful degeneration (§3.2) ----
 
    When the children accumulated for the innermost open element fill the
@@ -213,58 +204,17 @@ let collapse st frame resolved_key =
       st.n_in_memory <- st.n_in_memory + 1;
       Log.debug (fun m ->
           m "collapse: level %d pos %d, %d bytes, in-memory sort" frame.flevel frame.fpos size);
-      match st.session.Session.pool with
-      | Some (pool, view) ->
-          (* parallel path: claim the run id here — the same sequence
-             point where the single-threaded path registers the run — and
-             hand the pure sort (over the raw payloads) to a worker *)
-          let run = Extmem.Run_store.reserve st.session.Session.runs in
-          Sort_pool.submit_sort pool view ~run (collect_payloads st ~from_:frame.loc);
-          run
-      | None -> Subtree_sort.sort_in_memory st.session (collect_views st ~from_:frame.loc)
+      Subtree_sort.sort_in_memory st.session (collect_views st ~from_:frame.loc)
     end
     else begin
       st.n_external <- st.n_external + 1;
-      match st.session.Session.pool with
-      | Some (pool, view) ->
-          (* offloaded external sort: mirror the single-threaded sequence
-             exactly — reclaim, drain the scan input with the same stack
-             mechanics (a reverse scan pops; a forward scan reads), then
-             hand the pure key-path sort to a worker along with the very
-             arena size the inline sort would have leased, so run
-             structure and scratch I/O match the [--jobs 1] bill *)
-          Session.reclaim st.session;
-          let scan, payloads =
-            if st.scan_evaluable then (`Forward, collect_payloads st ~from_:frame.loc)
-            else begin
-              let acc = ref [] in
-              while Extmem.Ext_stack.length data > frame.loc do
-                acc := Extmem.Ext_stack.pop data :: !acc
-              done;
-              (`Reverse, List.rev !acc (* pop order: reverse document order *))
-            end
-          in
-          let arena_blocks =
-            Extmem.Memory_budget.available_blocks st.session.Session.budget
-          in
-          Log.debug (fun m ->
-              m
-                "collapse: level %d pos %d, %d bytes > arena, external key-path sort \
-                 offloaded (%s scan, %d-block arena)"
-                frame.flevel frame.fpos size
-                (match scan with `Forward -> "forward" | `Reverse -> "reverse")
-                arena_blocks);
-          let run = Extmem.Run_store.reserve st.session.Session.runs in
-          Sort_pool.submit_external pool view ~run ~scan ~arena_blocks payloads;
-          run
-      | None ->
-          let scan, input = external_scan_input st frame in
-          Log.debug (fun m ->
-              m "collapse: level %d pos %d, %d bytes > arena, external key-path sort (%s scan)"
-                frame.flevel frame.fpos size
-                (match scan with `Forward -> "forward" | `Reverse -> "reverse"));
-          let id, _stats = Subtree_sort.sort_external st.session ~input ~scan in
-          id
+      let scan, input = external_scan_input st frame in
+      Log.debug (fun m ->
+          m "collapse: level %d pos %d, %d bytes > arena, external key-path sort (%s scan)"
+            frame.flevel frame.fpos size
+            (match scan with `Forward -> "forward" | `Reverse -> "reverse"));
+      let id, _stats = Subtree_sort.sort_external st.session ~input ~scan in
+      id
     end
   in
   st.n_subtree_sorts <- st.n_subtree_sorts + 1;
@@ -285,16 +235,10 @@ let collapse_copy st frame resolved_key =
       m "collapse: level %d pos %d, %d bytes, verbatim copy (depth limit)" frame.flevel
         frame.fpos size);
   let run =
-    match st.session.Session.pool with
-    | Some (pool, view) ->
-        let run = Extmem.Run_store.reserve st.session.Session.runs in
-        Sort_pool.submit_copy pool view ~run (collect_payloads st ~from_:frame.loc);
-        run
-    | None ->
-        let w = Extmem.Run_store.begin_run st.session.Session.runs in
-        Extmem.Ext_stack.iter_entries_from data ~pos:frame.loc (fun payload ->
-            Extmem.Block_writer.write_record w payload);
-        Extmem.Run_store.finish_run st.session.Session.runs w
+    let w = Extmem.Run_store.begin_run st.session.Session.runs in
+    Extmem.Ext_stack.iter_entries_from data ~pos:frame.loc (fun payload ->
+        Extmem.Block_writer.write_record w payload);
+    Extmem.Run_store.finish_run st.session.Session.runs w
   in
   st.n_subtree_sorts <- st.n_subtree_sorts + 1;
   Extmem.Ext_stack.truncate_to data frame.loc;
@@ -604,9 +548,6 @@ let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
         st.n_events st.n_subtree_sorts st.n_in_memory st.n_external st.n_fragment_runs);
   assert (st.level = 0);
   assert (Extmem.Ext_stack.is_empty session.Session.path_stack);
-  (* the one barrier of the parallel path: every submitted subtree sort
-     is finished and installed before anything dereferences a run *)
-  Session.sync session;
   (* any blocks the data-stack window borrowed are idle now *)
   Session.reclaim session;
   let entries =
@@ -678,16 +619,11 @@ let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
     spans = Obs.Spans.close st.spans;
     metrics = Obs.Registry.to_json session.Session.registry;
     arena = Extmem.Frame_arena.owners session.Session.arena;
-    jobs = session.Session.config.Config.jobs;
-    workers =
-      (match session.Session.pool with
-      | Some (_, v) -> Sort_pool.worker_stats v
-      | None -> []);
   }
 
 let sort_device ?config ?session ~ordering ~input ~output () =
-  (* an engine-provided session brings its own config (and budget, pool
-     view, poll hook); standalone calls build a one-job session here *)
+  (* an engine-provided session brings its own config (and budget and
+     poll hook); standalone calls build a one-job session here *)
   let config =
     match session with
     | Some s -> s.Session.config
@@ -820,7 +756,6 @@ let config_json (c : Config.t) =
       ("keep_whitespace", Bool c.Config.keep_whitespace);
       ("device", Str (Extmem.Device_spec.to_string c.Config.device));
       ("policy", Str (Extmem.Frame_arena.policy_to_string c.Config.pager_policy));
-      ("jobs", Int c.Config.jobs);
     ]
 
 let owner_stats_json (s : Extmem.Frame_arena.owner_stats) =
@@ -896,25 +831,6 @@ let metrics_report ?(tool = "nexsort") ~config r =
        ]);
   Obs.Report.add rep "arena"
     (Obs.Json.Obj (List.map (fun (who, s) -> (who, owner_stats_json s)) r.arena));
-  (* per-worker section of the parallel path; always present (with an
-     empty pool at jobs=1) so the schema is stable *)
-  Obs.Report.add rep "workers"
-    (Obs.Json.Obj
-       [
-         ("jobs", Obs.Json.Int r.jobs);
-         ( "pool",
-           Obs.Json.Obj
-             (List.map
-                (fun (ws : Sort_pool.worker_stats) ->
-                  ( Printf.sprintf "worker%d" ws.Sort_pool.w_index,
-                    Obs.Json.Obj
-                      [
-                        ("tasks", Obs.Json.Int ws.Sort_pool.w_tasks);
-                        ("entries", Obs.Json.Int ws.Sort_pool.w_entries);
-                        ("io", Obs.Json.io_stats ws.Sort_pool.w_io);
-                      ] ))
-                r.workers) );
-       ]);
   (* allocation behaviour of the whole sort (schema v2): words are OCaml
      words allocated (minor = all allocation, major includes promotions),
      the per-event rate is the record path's headline number *)

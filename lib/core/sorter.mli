@@ -68,10 +68,6 @@ type report = {
       (** per-owner frame-arena accounting (held/peak blocks and cache
           hit/miss/eviction/writeback counters), sorted by owner name;
           owners persist past lease close and cache detach *)
-  jobs : int;  (** configured worker count *)
-  workers : Sort_pool.worker_stats list;
-      (** per-worker tasks/entries/I/O of the parallel path; empty at
-          [jobs = 1] *)
 }
 
 val sort_device :
@@ -88,8 +84,8 @@ val sort_device :
     is on session-private devices, reported in [breakdown].
 
     [session] runs the sort over a pre-built session — the engine path,
-    where the session carries an engine-carved budget, a shared pool
-    view and a cancellation poll.  It is destroyed here on every exit
+    where the session carries an engine-carved budget and a
+    cancellation poll.  It is destroyed here on every exit
     path, exactly like a self-created one, and overrides [config] (the
     session's own config is used).
 

@@ -1,9 +1,8 @@
-(* The forest machinery itself is the pure [Forest] module (shared with
-   the worker pool); this module binds it to a session.  Entries travel
-   through as [Entry.View.t]s over their original encoded payloads: sorts
-   and merges never decode names, attributes or text, and emitted bytes
-   are the input bytes (End entries synthesized from level transitions
-   are the only encoding done here). *)
+(* The forest machinery itself is the pure [Forest] module; this module
+   binds it to a session.  Entries travel through as [Entry.View.t]s over
+   their original encoded payloads: sorts and merges never decode names,
+   attributes or text, and emitted bytes are the input bytes (End entries
+   synthesized from level transitions are the only encoding done here). *)
 
 type node = Forest.node = {
   view : Entry.View.t;
@@ -42,9 +41,8 @@ let sort_in_memory (session : Session.t) views =
 
 (* ---- key-path external sort ---- *)
 
-(* The pure record streams and reconstruction live in [Forest] (shared
-   with the worker pool, which runs whole external sorts off-session);
-   these wrappers bind them to the session's encoder and config. *)
+(* The pure record streams and reconstruction live in [Forest]; these
+   wrappers bind them to the session's encoder and config. *)
 
 let forward_records (session : Session.t) ~depth_limit input =
   Forest.forward_records ~enc:session.Session.enc_scratch ~depth_limit input

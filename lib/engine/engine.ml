@@ -1,19 +1,17 @@
-(* The multi-tenant sort engine: one process-wide memory budget, one
-   shared worker pool and one admission queue serving many concurrent
-   sort jobs.
+(* The multi-tenant sort engine: one process-wide memory budget and one
+   admission queue serving many concurrent sort jobs.
 
-   A job's whole footprint is two carves out of the engine budget — its
-   session budget ([Session.job_blocks]) and, for parallel jobs, its
-   external-sort headroom ([Session.ext_blocks]) — both under a
-   "tenant#seq" ledger label, so the per-owner ledger doubles as the
-   per-tenant accounting the admission policy reads.  Admission is FIFO
-   with per-tenant fairness: waiters are served in arrival order among
-   tenants with equally many running jobs, tenants with fewer running
-   jobs first, and nobody skips ahead of a waiter the budget cannot yet
-   fit (small jobs cannot starve a large one).
+   A job's whole footprint is one carve out of the engine budget — its
+   session budget ([config.memory_blocks]) — under a "tenant#seq" ledger
+   label, so the per-owner ledger doubles as the per-tenant accounting
+   the admission policy reads.  Admission is FIFO with per-tenant
+   fairness: waiters are served in arrival order among tenants with
+   equally many running jobs, tenants with fewer running jobs first, and
+   nobody skips ahead of a waiter the budget cannot yet fit (small jobs
+   cannot starve a large one).
 
-   Release is where the leak ledger lives: whatever a job's carves still
-   hold after its session was destroyed — a phase that failed to release
+   Release is where the leak ledger lives: whatever a job's carve still
+   holds after its session was destroyed — a phase that failed to release
    on an abort path — is counted into [engine.leaked_blocks] and then
    force-reclaimed, so one tenant's fault can never shrink the engine.
    The destroy-probe machinery ([Session.add_destroy_probe]) still fires
@@ -29,7 +27,6 @@ type job = {
   j_seq : int;
   j_config : Nexsort.Config.t;
   j_budget : Extmem.Memory_budget.t;
-  j_ext : Extmem.Memory_budget.t option;
   j_cancel : bool Atomic.t;
   j_queue_wait_s : float;
   mutable j_released : bool;
@@ -40,12 +37,11 @@ type waiter = {
   w_seq : int;
   w_config : Nexsort.Config.t;
   w_cancel : bool Atomic.t;
-  mutable w_granted : (Extmem.Memory_budget.t * Extmem.Memory_budget.t option) option;
+  mutable w_granted : Extmem.Memory_budget.t option;
 }
 
 type t = {
   budget : Extmem.Memory_budget.t;
-  pool : Nexsort.Sort_pool.t option;
   tracer : Obs.Tracer.t;
   registry : Obs.Registry.t;
   lock : Mutex.t;
@@ -62,13 +58,12 @@ type t = {
   mutable destroyed : bool;
 }
 
-let create ?(tracer = Obs.Tracer.null) ?(workers = 0) ~memory_blocks ~block_size () =
+let create ?(tracer = Obs.Tracer.null) ~memory_blocks ~block_size () =
   if memory_blocks < 1 then invalid_arg "Engine.create: need at least one block";
   let registry = Obs.Registry.create () in
   let t =
     {
       budget = Extmem.Memory_budget.create ~blocks:memory_blocks ~block_size;
-      pool = (if workers > 0 then Some (Nexsort.Sort_pool.create ~tracer ~workers ()) else None);
       tracer;
       registry;
       lock = Mutex.create ();
@@ -97,8 +92,6 @@ let registry t = t.registry
 
 let tracer t = t.tracer
 
-let pool t = t.pool
-
 let budget t = t.budget
 
 let leaked_blocks t = Obs.Counter.value t.c_leaked
@@ -107,34 +100,18 @@ let running_count t tenant = Option.value (Hashtbl.find_opt t.running tenant) ~d
 
 let who ~tenant ~seq = Printf.sprintf "%s#%d" tenant seq
 
-(* Try to carve one waiter's budgets.  [Exhausted] means "not now" —
+(* Try to carve one waiter's budget.  [Exhausted] means "not now" —
    the waiter stays queued. *)
 let try_grant t (w : waiter) =
   let config = w.w_config in
-  let label = who ~tenant:w.w_tenant ~seq:w.w_seq in
-  let main_blocks = Nexsort.Session.job_blocks ?pool:t.pool config in
-  let ext = Nexsort.Session.ext_blocks ?pool:t.pool config in
-  let bs = config.Nexsort.Config.block_size in
   match
-    Extmem.Memory_budget.carve t.budget ~block_size:bs ~who:label ~blocks:main_blocks ()
+    Extmem.Memory_budget.carve t.budget ~block_size:config.Nexsort.Config.block_size
+      ~who:(who ~tenant:w.w_tenant ~seq:w.w_seq) ~blocks:config.Nexsort.Config.memory_blocks ()
   with
   | exception Extmem.Memory_budget.Exhausted _ -> false
-  | main -> (
-      if ext = 0 then begin
-        w.w_granted <- Some (main, None);
-        true
-      end
-      else
-        match
-          Extmem.Memory_budget.carve t.budget ~block_size:bs ~who:(label ^ " ext")
-            ~blocks:ext ()
-        with
-        | exception Extmem.Memory_budget.Exhausted _ ->
-            Extmem.Memory_budget.uncarve main;
-            false
-        | eb ->
-            w.w_granted <- Some (main, Some eb);
-            true)
+  | main ->
+      w.w_granted <- Some main;
+      true
 
 (* Admission, under the engine lock.  Order waiters by (tenant's running
    jobs, arrival): a tenant with fewer jobs in flight goes first, FIFO
@@ -169,7 +146,7 @@ let admit_locked t =
 
 let remove_waiter t w = t.waiting <- List.filter (fun w' -> w' != w) t.waiting
 
-(* Block until the engine grants this job its budgets (admission), then
+(* Block until the engine grants this job its budget (admission), then
    return the job handle.  Raises [Cancelled] if the job is cancelled
    while queued. *)
 let acquire ?(name = "") ?cancel t ~tenant (config : Nexsort.Config.t) =
@@ -215,7 +192,7 @@ let acquire ?(name = "") ?cancel t ~tenant (config : Nexsort.Config.t) =
       else invalid_arg "Engine.acquire: engine destroyed while queued"
   | Some _ -> Mutex.unlock t.lock);
   if was_queued then Obs.Tracer.end_s t.tracer "engine.queue_wait";
-  let main, ext = Option.get result in
+  let main = Option.get result in
   let wait_s = Unix.gettimeofday () -. t0 in
   Obs.Counter.incr t.c_admitted;
   Obs.Counter.add t.c_queue_wait_ms (int_of_float (wait_s *. 1000.));
@@ -225,7 +202,6 @@ let acquire ?(name = "") ?cancel t ~tenant (config : Nexsort.Config.t) =
     j_seq = w.w_seq;
     j_config = config;
     j_budget = main;
-    j_ext = ext;
     j_cancel = w.w_cancel;
     j_queue_wait_s = wait_s;
     j_released = false;
@@ -247,28 +223,20 @@ let cancel_job t (j : job) = cancel t j.j_cancel
 
 let poll_of (j : job) () = if Atomic.get j.j_cancel then raise Cancelled
 
-let session t (j : job) =
-  Nexsort.Session.create ~budget:j.j_budget ?pool:t.pool
-    ?ext_budget:j.j_ext ~poll:(poll_of j) j.j_config
+let session _t (j : job) =
+  Nexsort.Session.create ~budget:j.j_budget ~poll:(poll_of j) j.j_config
 
-(* Return a job's carves to the engine.  The session must already be
-   destroyed (Sorter does this on every exit path); anything its carves
-   still hold is a leak — counted, then force-reclaimed so the engine
+(* Return a job's carve to the engine.  The session must already be
+   destroyed (Sorter does this on every exit path); anything its carve
+   still holds is a leak — counted, then force-reclaimed so the engine
    budget is whole again no matter what the job did. *)
 let release t (j : job) =
   if not j.j_released then begin
     j.j_released <- true;
     let leak = Extmem.Memory_budget.used_blocks j.j_budget in
-    let leak =
-      leak
-      + (match j.j_ext with Some eb -> Extmem.Memory_budget.used_blocks eb | None -> 0)
-    in
     if leak > 0 then Obs.Counter.add t.c_leaked leak;
     Mutex.lock t.lock;
     Extmem.Memory_budget.uncarve ~force:true j.j_budget;
-    (match j.j_ext with
-    | Some eb -> Extmem.Memory_budget.uncarve ~force:true eb
-    | None -> ());
     (match running_count t j.j_tenant - 1 with
     | 0 -> Hashtbl.remove t.running j.j_tenant
     | n -> Hashtbl.replace t.running j.j_tenant n);
@@ -303,13 +271,9 @@ let run ?name ?cancel t ~tenant (config : Nexsort.Config.t) f =
    single-job CLI path ([slots = 1]) and the two-stream merge
    ([slots = 2], which must hold both its sessions at once): the same
    admission, carve and release machinery, with a budget sized so those
-   admissions succeed immediately.  Without a pool, [Session.job_blocks]
-   sizes the job for [config.jobs] workers — exactly the worker count
-   the engine pool is created with, so the carve matches. *)
+   admissions succeed immediately. *)
 let for_config ?tracer ?(slots = 1) (config : Nexsort.Config.t) =
-  let workers = if config.Nexsort.Config.jobs > 1 then config.Nexsort.Config.jobs else 0 in
-  let per_job = Nexsort.Session.job_blocks config + Nexsort.Session.ext_blocks config in
-  create ?tracer ~workers ~memory_blocks:(slots * per_job)
+  create ?tracer ~memory_blocks:(slots * config.Nexsort.Config.memory_blocks)
     ~block_size:config.Nexsort.Config.block_size ()
 
 let destroy t =
@@ -322,8 +286,7 @@ let destroy t =
     end;
     t.destroyed <- true;
     Condition.broadcast t.admitted;
-    Mutex.unlock t.lock;
-    match t.pool with Some p -> Nexsort.Sort_pool.shutdown p | None -> ()
+    Mutex.unlock t.lock
   end
 
 let queue_wait_s (j : job) = j.j_queue_wait_s

@@ -1,12 +1,12 @@
 (** The multi-tenant sort engine: process-wide resources — one memory
-    budget, one shared {!Nexsort.Sort_pool}, a metrics registry and a
-    tracer — plus admission control, serving many concurrent sort jobs.
+    budget, a metrics registry and a tracer — plus admission control,
+    serving many concurrent sort jobs.
 
     A {!Nexsort.Session} used to own all of this for its one sort; under
     the engine it is a per-job view instead: {!acquire} carves the job's
-    budgets out of the engine's (queuing the job when they do not fit,
+    budget out of the engine's (queuing the job when they do not fit,
     rather than raising [Exhausted]), {!session} builds the session over
-    the carves, and {!release} returns them — force-reclaiming and
+    the carve, and {!release} returns it — force-reclaiming and
     counting whatever a faulted job leaked, so one tenant's abort can
     never shrink the engine.  The single-job CLIs run through
     {!for_config}: one-job engine, same machinery.
@@ -19,7 +19,7 @@
     {b Cancellation} is cooperative: {!cancel_job} flips the job's flag;
     its session polls the flag at scan and output checkpoints and raises
     {!Cancelled}, after which the normal teardown path (session destroy,
-    pool-view close, {!release}) returns every block. *)
+    {!release}) returns every block. *)
 
 exception Cancelled
 (** Raised by a cancelled job's poll hook at its next checkpoint, and by
@@ -28,20 +28,17 @@ exception Cancelled
 type t
 
 type job
-(** An admitted job: its carved budgets, cancellation flag and queue-wait
+(** An admitted job: its carved budget, cancellation flag and queue-wait
     time.  Obtained from {!acquire}; must be {!release}d. *)
 
 val create :
   ?tracer:Obs.Tracer.t ->
-  ?workers:int ->
   memory_blocks:int ->
   block_size:int ->
   unit ->
   t
 (** An engine with [memory_blocks] blocks of [block_size] bytes to carve
-    jobs from, and a shared pool of [workers] worker domains (0, the
-    default, spawns no pool — parallel jobs then spawn private pools).
-    Job budgets of other block sizes are carved cross-granularity
+    jobs from.  Job budgets of other block sizes are carved cross-granularity
     (charged in engine blocks, rounded up). *)
 
 val for_config : ?tracer:Obs.Tracer.t -> ?slots:int -> Nexsort.Config.t -> t
@@ -67,14 +64,12 @@ val acquire :
     @raise Invalid_argument on a destroyed engine. *)
 
 val session : t -> job -> Nexsort.Session.t
-(** The job's session: its carved budget, a view of the engine pool (for
-    parallel configs), its external-sort headroom and its cancellation
-    poll.  Destroyed by the sorter on every exit path, like any
+(** The job's session: its carved budget and its cancellation poll.  Destroyed by the sorter on every exit path, like any
     session. *)
 
 val release : t -> job -> unit
-(** Return the job's carves to the engine and re-run admission.  Call
-    after the session was destroyed; blocks still held by the carves at
+(** Return the job's carve to the engine and re-run admission.  Call
+    after the session was destroyed; blocks still held by the carve at
     that point are a leak — added to [engine.leaked_blocks], then
     force-reclaimed so the engine budget is whole regardless.
     Idempotent. *)
@@ -118,13 +113,11 @@ val job_name : job -> string
 val job_tenant : job -> string
 
 val destroy : t -> unit
-(** Shut the engine down: joins the shared pool's workers.
+(** Shut the engine down, waking any queued {!acquire}.
     @raise Invalid_argument while jobs are still queued or running.
     Idempotent. *)
 
 val budget : t -> Extmem.Memory_budget.t
-
-val pool : t -> Nexsort.Sort_pool.t option
 
 val tracer : t -> Obs.Tracer.t
 

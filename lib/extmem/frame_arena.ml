@@ -59,7 +59,7 @@ type t = {
   table : (string, owner) Hashtbl.t;
   lock : Mutex.t; (* guards [pool] and [table]; never held across budget calls *)
   mutable observer : (who:string -> event -> int -> unit) option;
-      (* caches are main-thread, so firing without the lock is safe *)
+      (* caches are single-domain, so firing without the lock is safe *)
 }
 
 let create ?budget ?(default_policy = Lru) () =
@@ -146,23 +146,6 @@ let give t b =
       match Hashtbl.find_opt t.pool size with
       | Some cell -> cell := b :: !cell
       | None -> Hashtbl.add t.pool size (ref [ b ]))
-
-(* Sub-arenas: a fixed slab carved out of the shared budget becomes a
-   private arena for one domain.  All frame traffic inside the worker
-   then hits only the sub-arena's own lock and ledger; the parent pool
-   records the whole slab under the carver's name until [close]. *)
-
-let carve t ~who ~blocks =
-  match t.budget with
-  | None -> invalid_arg "Frame_arena.carve: arena has no budget to carve from"
-  | Some b ->
-      let sub = Memory_budget.carve b ~who ~blocks () in
-      create ~budget:sub ~default_policy:t.arena_policy ()
-
-let close t =
-  match t.budget with
-  | None -> invalid_arg "Frame_arena.close: arena has no budget"
-  | Some b -> Memory_budget.uncarve b
 
 (* {2 Leases} *)
 

@@ -27,8 +27,7 @@
     by an internal mutex, so {!reserve}/{!release}/{!take}/{!give} (and
     the lease operations built on them) are safe from any domain.  A
     {b cache} is single-domain: its frame map and counters are
-    deliberately unlocked for the pager hot path.  Parallel phases
-    should {!carve} a per-domain sub-arena instead of sharing one. *)
+    deliberately unlocked for the pager hot path. *)
 
 type t
 
@@ -66,8 +65,8 @@ type event = Evict | Writeback
 val set_observer : t -> (who:string -> event -> int -> unit) -> unit
 (** Fire the hook on every eviction and write-back in caches attached to
     this arena, with the cache owner's name and the block index.  Caches
-    are main-thread objects, so the hook runs unlocked on the caller's
-    domain.  Carved sub-arenas do not inherit the observer. *)
+    are single-domain objects, so the hook runs unlocked on the caller's
+    domain. *)
 
 val take : t -> int -> bytes
 (** [take t size] is a zero-filled buffer of [size] bytes, recycled from
@@ -76,22 +75,6 @@ val take : t -> int -> bytes
 
 val give : t -> bytes -> unit
 (** Return a buffer to the pool.  The caller must drop its reference. *)
-
-val carve : t -> who:string -> blocks:int -> t
-(** [carve t ~who ~blocks] reserves a [blocks]-frame slab from the
-    arena's budget under [who] and wraps it in a fresh private arena
-    (same default policy).  Intended for worker domains: every lease,
-    cache and buffer the worker takes then lives entirely in its own
-    arena, with no shared mutable frame state on the hot path, while the
-    parent's ledger pins the slab under the carver's name.
-    @raise Invalid_argument on an unbudgeted arena.
-    @raise Memory_budget.Exhausted when the slab does not fit. *)
-
-val close : t -> unit
-(** Return a carved sub-arena's slab to the parent budget.  Every lease
-    and cache in the sub-arena must already be closed — a frame still
-    reserved is a leak, reported with its owner.
-    @raise Invalid_argument on a non-carved arena or a non-empty one. *)
 
 (** {1 Leases} *)
 

@@ -6,19 +6,15 @@
     closed run gets a dense integer id that can be embedded in run-pointer
     entries on the data stack and inside other runs.
 
-    Runs on the store's own device are written one at a time (the main
-    thread never interleaves two subtree sorts), which the store
-    enforces.  For parallel sorting the main thread instead {!reserve}s
-    an id — keeping id assignment a deterministic main-thread sequence —
-    and a worker later {!install}s the finished payload, which may live
-    on the worker's private scratch device.  All store operations are
-    main-thread only: workers hand (device, extent) pairs back for the
-    main thread to install. *)
+    Runs on the store's own device are written one at a time (the sorter
+    never interleaves two subtree sorts), which the store enforces.  A
+    finished run on another device can be registered by reference with
+    {!adopt}. *)
 
 type t
 
 type id = int
-(** Dense run identifier, assigned at {!finish_run} or {!reserve}. *)
+(** Dense run identifier, assigned at {!finish_run} or {!adopt}. *)
 
 val create : Device.t -> t
 (** A store using [dev] for run payloads.  Run metadata (extents) is held
@@ -36,21 +32,17 @@ val begin_run : ?buffer:bytes -> t -> Block_writer.t
 val finish_run : t -> Block_writer.t -> id
 (** Close the writer and register the run; returns its id. *)
 
-val reserve : t -> id
-(** Claim the next run id with no payload yet.  The run stays pending —
-    reading it is an error — until {!install} supplies its extent. *)
-
-val install : t -> id -> dev:Device.t -> extent:Extent.t -> unit
-(** Fill a {!reserve}d slot with a finished run, possibly on a device
-    other than the store's own (a worker's scratch device).
-    @raise Invalid_argument on an unknown id or an already-installed
-    run. *)
+val adopt : t -> dev:Device.t -> extent:Extent.t -> id
+(** Register a finished run that lives at [extent] on [dev] — possibly a
+    device other than the store's own — by reference; returns its id.
+    The payload is neither copied nor owned: [dev] must outlive every
+    read of the run. *)
 
 val open_run : ?buffer:bytes -> t -> id -> Block_reader.t
 (** A fresh sequential reader over the given run, on whichever device
     holds it.  [buffer] is the reader's block buffer (typically an arena
     frame).
-    @raise Invalid_argument on an unknown or still-pending id. *)
+    @raise Invalid_argument on an unknown id. *)
 
 val read_run : ?buffer:bytes -> t -> id -> unit -> string option
 (** Streaming open: a pull over the run's length-prefixed records, for
@@ -61,8 +53,7 @@ val read_run : ?buffer:bytes -> t -> id -> unit -> string option
 val run_extent : t -> id -> Extent.t
 
 val total_run_blocks : t -> int
-(** Sum of block counts over all installed runs (Lemma 4.8 measures
-    this); pending reservations contribute nothing. *)
+(** Sum of block counts over all runs (Lemma 4.8 measures this). *)
 
 val total_run_bytes : t -> int
 (** Sum of payload byte counts over all runs. *)

@@ -244,10 +244,11 @@ let destroy t =
 
 (* Adopt one of [src]'s runs into [dst]'s store by reference. *)
 let adopt dst src_store id =
-  let id' = Extmem.Run_store.reserve dst.store in
-  Extmem.Run_store.install dst.store id'
-    ~dev:(Extmem.Run_store.device src_store)
-    ~extent:(Extmem.Run_store.run_extent src_store id);
+  let id' =
+    Extmem.Run_store.adopt dst.store
+      ~dev:(Extmem.Run_store.device src_store)
+      ~extent:(Extmem.Run_store.run_extent src_store id)
+  in
   ensure_fan_in dst;
   open_reader dst id';
   dst.foreign <- true

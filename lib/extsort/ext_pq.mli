@@ -23,7 +23,7 @@
     ledger.
 
     [meld] adopts the other queue's runs by id into this queue's store
-    via {!Extmem.Run_store.reserve}/[install] — run payloads stay on the
+    via {!Extmem.Run_store.adopt} — run payloads stay on the
     donor's device and are never copied unless the donor had already
     consumed from its runs (then its remainder is compacted into one
     run first).  Both queues must use the same block size.

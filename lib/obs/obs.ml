@@ -287,8 +287,9 @@ module Json = struct
       ]
 end
 
-(* Counters are the one observability primitive bumped from worker
-   domains, so they are atomic.  Histograms, spans and the registry stay
+(* Counters are the one observability primitive bumped from several
+   domains at once (engine jobs share the engine's counters), so they
+   are atomic.  Histograms, spans and the registry stay
    main-thread only. *)
 module Counter = struct
   type t = {
@@ -500,8 +501,8 @@ module Tracer = struct
      bounded ring of fixed-size records (four parallel int arrays); emitting
      is a handful of array stores plus one monotonic-clock read, no
      allocation, no locking.  When a ring fills, further records are dropped
-     and counted — emitting never blocks.  Flushing (after workers have
-     joined) renders Chrome trace_event JSON loadable in Perfetto. *)
+     and counted — emitting never blocks.  Flushing (after job domains
+     have joined) renders Chrome trace_event JSON loadable in Perfetto. *)
 
   type kind = Begin | End | Instant | Count | Complete
 
@@ -649,8 +650,6 @@ module Tracer = struct
           tr.t_pos <- p + 1
         end
 
-  let begin_span t id = if t.enabled then emit t Begin id (now_ns t) 0
-  let end_span t id = if t.enabled then emit t End id (now_ns t) 0
   let instant t id = if t.enabled then emit t Instant id (now_ns t) 0
   let counter t id v = if t.enabled then emit t Count id (now_ns t) v
   let complete t id ~start_ns ~dur_ns = if t.enabled then emit t Complete id start_ns dur_ns
@@ -672,7 +671,7 @@ module Tracer = struct
 
   (* Re-arm the tracer for another measured run: zero every ring and forget
      registered latency meters, but keep the epoch, interned names and
-     domain bindings.  Only call while no worker domains are emitting. *)
+     domain bindings.  Only call while no other domain is emitting. *)
   let reset t =
     if t.enabled then begin
       Mutex.lock t.lock;
@@ -1050,8 +1049,10 @@ module Report = struct
   (* v2: run reports gained the "gc" section (allocation words and
      collection counts over the run).
      v3: ingest tools emit an "ingest" section — a list of per-flush
-     objects (batch sizes, queue counters, merge + I/O deltas). *)
-  let schema_version = 3
+     objects (batch sizes, queue counters, merge + I/O deltas).
+     v4: sort reports dropped the per-worker section and the config's
+     worker count, with the domain-parallel subtree sort they described. *)
+  let schema_version = 4
 
   type t = {
     tool : string;

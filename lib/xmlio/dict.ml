@@ -8,10 +8,10 @@ type t = {
   mutable table : int array;
   mutable mask : int;
   mutable hash_of_id : int array;
-  (* Worker domains resolve names that were all interned on the main
-     thread, so their lookups are logically read-only — but the main
-     thread may intern new names concurrently (table resize, vector
-     growth), so every operation locks. *)
+  (* Every operation locks, so a dictionary may be shared across domains.
+     Each sort session owns its own dictionary today; whether the lock
+     costs anything on that single-domain path is a separate,
+     measured question. *)
   lock : Mutex.t;
 }
 

@@ -42,19 +42,12 @@ dune exec bench/main.exe -- --quick policy-sweep > /dev/null
 # experiment exits non-zero on either failure).
 dune exec bench/main.exe -- --quick ingest > /dev/null
 
-# Parallel smoke: the worker pool must be invisible in the output and in
-# the I/O bill.  Sort the same document with --jobs 1 and --jobs 4 and
-# require byte-identical results plus identical metrics counters (the
-# compare in both directions pins them equal, not merely non-regressing).
+# Reference sort for the engine smoke below: one standalone CLI run whose
+# output and metrics every daemon job must reproduce.
 dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 8,8,8,5 --avg-bytes 120 -o /tmp/par.xml \
   > /dev/null
-dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --jobs 1 --metrics /tmp/par1.json \
+dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --metrics /tmp/par1.json \
   -o /tmp/par1.out.xml /tmp/par.xml > /dev/null
-dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --jobs 4 --metrics /tmp/par4.json \
-  -o /tmp/par4.out.xml /tmp/par.xml > /dev/null
-cmp /tmp/par1.out.xml /tmp/par4.out.xml
-dune exec bench/main.exe -- compare-metrics /tmp/par1.json /tmp/par4.json
-dune exec bench/main.exe -- compare-metrics /tmp/par4.json /tmp/par1.json
 
 # Engine smoke: the multi-tenant daemon must serve interleaved jobs from
 # two tenants under a queue-forcing budget and stay invisible in the
@@ -80,14 +73,14 @@ for i in 1 2 3 4 5 6 7 8; do
 done
 dune exec bin/nexfuzz.exe -- --tenants 4 --cases 24 --fault-cases 0 > /dev/null
 
-# Trace smoke: a --jobs 4 traced sort must produce a trace that nextrace
-# validates, carrying the sorter's phase spans and one track per worker.
-dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --jobs 4 --trace /tmp/trace4.json \
-  -o /tmp/trace4.out.xml /tmp/par.xml > /dev/null
-dune exec bin/nextrace.exe -- --check /tmp/trace4.json
-dune exec bin/nextrace.exe -- --top 100 /tmp/trace4.json > /tmp/trace4.txt
-for needle in input_scan subtree_sorts output 'worker 0' 'worker 1' 'worker 2' 'worker 3'; do
-  grep -q "$needle" /tmp/trace4.txt || {
+# Trace smoke: a traced sort must produce a trace that nextrace
+# validates, carrying the sorter's phase spans.
+dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --trace /tmp/trace.json \
+  -o /tmp/trace.out.xml /tmp/par.xml > /dev/null
+dune exec bin/nextrace.exe -- --check /tmp/trace.json
+dune exec bin/nextrace.exe -- --top 100 /tmp/trace.json > /tmp/trace.txt
+for needle in input_scan subtree_sorts output; do
+  grep -q "$needle" /tmp/trace.txt || {
     echo "trace smoke: missing \"$needle\" in nextrace output" >&2; exit 1; }
 done
 

@@ -60,8 +60,8 @@ let test_concurrent_jobs_equal_sequential =
         |> List.map (fun (out, rep) ->
                (out, Extmem.Io_stats.total rep.Nexsort.total_io))
       in
-      (* room for two jobs at a time: job_blocks = 8 at the same block
-         size, so 20 blocks queue the other six *)
+      (* room for two jobs at a time: each carves its 8 memory blocks
+         at the same block size, so 20 blocks queue the other six *)
       let eng =
         Engine.create ~memory_blocks:20 ~block_size:config.Config.block_size ()
       in
@@ -84,20 +84,17 @@ let test_concurrent_jobs_equal_sequential =
         QCheck.Test.fail_report "engine budget not empty after all jobs";
       true)
 
-(* Offloaded external subtree sorts (config.jobs > 1, threshold too big
-   for the arena) stay invisible when the jobs run concurrently through
-   a shared engine pool. *)
-let test_concurrent_external_offload () =
+(* External subtree sorts (threshold too big for the arena) stay
+   invisible when the jobs run concurrently through one engine. *)
+let test_concurrent_external_sorts () =
   let xml = gen_doc ~height:5 ~max_elements:500 11 in
-  let mk jobs =
-    Config.make ~block_size:128 ~memory_blocks:10 ~threshold:200_000 ~degeneration:false
-      ~jobs ()
+  let config =
+    Config.make ~block_size:128 ~memory_blocks:10 ~threshold:200_000 ~degeneration:false ()
   in
-  let ref_out, ref_rep = Nexsort.sort_string ~config:(mk 1) ~ordering:by_id xml in
+  let ref_out, ref_rep = Nexsort.sort_string ~config ~ordering:by_id xml in
   check Alcotest.bool "reference run spills externally" true
     (ref_rep.Nexsort.external_sorts > 0);
-  let config = mk 2 in
-  let eng = Engine.create ~workers:2 ~memory_blocks:80 ~block_size:128 () in
+  let eng = Engine.create ~memory_blocks:30 ~block_size:128 () in
   let domains =
     List.init 3 (fun i ->
         Domain.spawn (fun () ->
@@ -314,8 +311,8 @@ let () =
       ( "invisibility",
         [
           qcheck test_concurrent_jobs_equal_sequential;
-          Alcotest.test_case "concurrent external offload" `Quick
-            test_concurrent_external_offload;
+          Alcotest.test_case "concurrent external sorts" `Quick
+            test_concurrent_external_sorts;
         ] );
       ( "admission",
         [

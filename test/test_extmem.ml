@@ -519,38 +519,37 @@ let test_run_store_read_run () =
   check (Alcotest.list Alcotest.string) "streamed records" [ "alpha"; "beta"; "gamma" ] (all []);
   check (Alcotest.option Alcotest.string) "exhausted stays exhausted" None (pull ())
 
-let test_run_store_reserve_install () =
-  (* the worker-pool protocol: the main thread reserves the id at the
-     point the run would have been created, a worker installs the payload
-     later from its own scratch device *)
+let test_run_store_adopt () =
+  (* a run written on another device joins the store by reference: it
+     gets the next dense id, counts in the totals, and reads back from
+     the foreign device *)
   let d = Extmem.Device.in_memory ~block_size:8 () in
   let rs = Extmem.Run_store.create d in
-  let id0 = Extmem.Run_store.reserve rs in
   let w = Extmem.Run_store.begin_run rs in
   Extmem.Block_writer.write_record w "main";
-  let id1 = Extmem.Run_store.finish_run rs w in
-  check Alcotest.int "reserved id is dense" 0 id0;
-  check Alcotest.int "finish_run skips the reservation" 1 id1;
-  check Alcotest.int "count includes pending" 2 (Extmem.Run_store.run_count rs);
-  (try
-     ignore (Extmem.Run_store.open_run rs id0);
-     Alcotest.fail "expected pending rejection"
-   with Invalid_argument _ -> ());
+  let id0 = Extmem.Run_store.finish_run rs w in
   let blocks_before = Extmem.Run_store.total_run_blocks rs in
-  let wd = Extmem.Device.in_memory ~block_size:8 () in
-  let ww = Extmem.Block_writer.create wd in
-  Extmem.Block_writer.write_record ww "worker";
-  let extent = Extmem.Block_writer.close ww in
-  Extmem.Run_store.install rs id0 ~dev:wd ~extent;
-  check Alcotest.bool "pending excluded from totals" true
-    (Extmem.Run_store.total_run_blocks rs > blocks_before);
-  let pull = Extmem.Run_store.read_run rs id0 in
-  check (Alcotest.option Alcotest.string) "reads from the worker device" (Some "worker")
+  let fd = Extmem.Device.in_memory ~block_size:8 () in
+  let fw = Extmem.Block_writer.create fd in
+  Extmem.Block_writer.write_record fw "foreign";
+  let extent = Extmem.Block_writer.close fw in
+  let id1 = Extmem.Run_store.adopt rs ~dev:fd ~extent in
+  check Alcotest.int "adopted id is dense" (id0 + 1) id1;
+  check Alcotest.int "count includes the adopted run" 2 (Extmem.Run_store.run_count rs);
+  check Alcotest.int "adopted run counts in totals" (blocks_before + extent.Extmem.Extent.blocks)
+    (Extmem.Run_store.total_run_blocks rs);
+  let pull = Extmem.Run_store.read_run rs id1 in
+  check (Alcotest.option Alcotest.string) "reads from the foreign device" (Some "foreign")
     (pull ());
-  try
-    Extmem.Run_store.install rs id0 ~dev:wd ~extent;
-    Alcotest.fail "expected double-install rejection"
-  with Invalid_argument _ -> ()
+  check (Alcotest.option Alcotest.string) "own run still reads back" (Some "main")
+    (Extmem.Run_store.read_run rs id0 ());
+  List.iter
+    (fun id ->
+      try
+        ignore (Extmem.Run_store.open_run rs id);
+        Alcotest.failf "expected unknown id %d to be rejected" id
+      with Invalid_argument _ -> ())
+    [ -1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Ext_stack *)
@@ -1688,7 +1687,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_run_store;
           Alcotest.test_case "exclusive writer" `Quick test_run_store_exclusive;
           Alcotest.test_case "read_run stream" `Quick test_run_store_read_run;
-          Alcotest.test_case "reserve/install" `Quick test_run_store_reserve_install;
+          Alcotest.test_case "adopt" `Quick test_run_store_adopt;
         ] );
       ( "ext_stack",
         [

@@ -147,19 +147,17 @@ let test_probes_clean_after_fault () =
   check (Alcotest.list Alcotest.string) "no leaks after abort" []
     (Verify.Probes.violations ())
 
-let test_probes_clean_after_worker_fault () =
-  (* the same abort with a worker pool attached: once the first subtree
-     collapse is offloaded, the faulting write lands on a worker's
-     private run device inside its domain; drain re-raises the fault on
-     the main thread, and destroy must still tear the pool down to a
-     quiescent arena and an empty budget *)
+let test_probes_clean_after_seeded_faults () =
+  (* the same abort over several fault seeds and documents: wherever the
+     first faulting write lands, destroy must still leave a quiescent
+     arena and an empty budget *)
   Verify.Probes.install ();
   Verify.Probes.clear ();
   List.iter
     (fun seed ->
       let doc = pathological_doc ~max_elements:250 (100 + seed) in
       let config =
-        Nexsort.Config.make ~block_size:512 ~memory_blocks:16 ~jobs:2
+        Nexsort.Config.make ~block_size:512 ~memory_blocks:16
           ~device:
             (Extmem.Device_spec.parse (Printf.sprintf "faulty:p=1.0,seed=%d/mem" seed))
           ()
@@ -169,7 +167,7 @@ let test_probes_clean_after_worker_fault () =
       | exception Extmem.Backend.Fault _ -> ()
       | exception e -> Alcotest.failf "expected Device.Fault, got %s" (Printexc.to_string e))
     [ 1; 2; 3 ];
-  check (Alcotest.list Alcotest.string) "no leaks after worker aborts" []
+  check (Alcotest.list Alcotest.string) "no leaks after seeded aborts" []
     (Verify.Probes.violations ())
 
 let test_probe_sees_leak () =
@@ -208,8 +206,8 @@ let () =
           Alcotest.test_case "nexsort output validates (all policies)" `Quick
             test_nexsort_output_validates_all_policies;
           Alcotest.test_case "clean after fault abort" `Quick test_probes_clean_after_fault;
-          Alcotest.test_case "clean after worker fault abort" `Quick
-            test_probes_clean_after_worker_fault;
+          Alcotest.test_case "clean after seeded fault aborts" `Quick
+            test_probes_clean_after_seeded_faults;
           Alcotest.test_case "sees a leak" `Quick test_probe_sees_leak;
         ] );
     ]
