@@ -45,8 +45,7 @@ module Config = struct
      replacement policy; --no-fuse overrides the fusion default for
      experiments that don't pin it *)
   let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?root_fusion
-      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?pager_policy ?tracer
-      () =
+      ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?pager_policy ?tracer () =
     let root_fusion =
       match root_fusion with
       | Some _ as r -> r
@@ -54,7 +53,7 @@ module Config = struct
     in
     let pager_policy = Option.value pager_policy ~default:!policy in
     Nexsort.Config.make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration
-      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace
+      ?root_fusion ?data_stack_blocks ?path_stack_blocks ?keep_whitespace
       ~pager_policy ?tracer ~device:(bench_spec ()) ()
 end
 
@@ -342,25 +341,6 @@ let ablate_degen () =
   subnote
     "(the paper did not implement degeneration and reports NEXSORT losing on flat inputs;\n\
     \ with it, NEXSORT should be within a whisker of merge sort)"
-
-(* ------------------------------------------------------------------ *)
-(* A-cmp: compaction ablation (§3.2) *)
-
-let ablate_compact () =
-  heading "A-cmp / ablation: entry encodings (compaction, §3.2)";
-  let doc, stats = fig5_doc () in
-  subnote "input: %d elements" stats.Xmlgen.Gen.elements;
-  List.iter
-    (fun (label, encoding) ->
-      let config = Config.make ~block_size:1024 ~memory_blocks:16 ~encoding () in
-      let input = with_block_size 1024 doc in
-      let nx = run_nexsort ~config input in
-      Printf.printf "%-28s : %8d io  %6.2fs  %s\n" label nx.io nx.seconds nx.detail)
-    [
-      ("plain (no compaction)", Config.Plain);
-      ("dict (name compression)", Config.Dict);
-      ("packed (+ no end entries)", Config.Packed);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* A-fuse: root fusion ablation *)
@@ -775,7 +755,7 @@ let micro () =
       { level = 3; pos = 17; name = "employee"; attrs = [ ("ID", "454") ];
         key = Some (Nexsort.Key.Num 454.) }
   in
-  let encoded = Nexsort.Entry.encode Config.Dict dict entry in
+  let encoded = Nexsort.Entry.encode dict entry in
   let small_doc =
     "<company><region name=\"AC\"><branch name=\"Durham\"><employee ID=\"454\"/><employee \
      ID=\"323\"><name>Smith</name></employee></branch></region></company>"
@@ -787,9 +767,9 @@ let micro () =
         Test.make ~name:"Keypath.compare_encoded"
           (Staged.stage (fun () -> Nexsort.Keypath.compare_encoded r1 r2));
         Test.make ~name:"Entry.encode (dict)"
-          (Staged.stage (fun () -> Nexsort.Entry.encode Config.Dict dict entry));
+          (Staged.stage (fun () -> Nexsort.Entry.encode dict entry));
         Test.make ~name:"Entry.decode (dict)"
-          (Staged.stage (fun () -> Nexsort.Entry.decode Config.Dict dict encoded));
+          (Staged.stage (fun () -> Nexsort.Entry.decode dict encoded));
         Test.make ~name:"Parser (155-byte doc)"
           (Staged.stage (fun () -> Xmlio.Parser.to_list (Xmlio.Parser.of_string small_doc)));
       ]
@@ -856,7 +836,7 @@ let wall () =
   let decode_dict = Xmlio.Dict.create () in
   let enc_payloads =
     Array.init 4096 (fun i ->
-        Nexsort.Entry.encode Config.Dict decode_dict
+        Nexsort.Entry.encode decode_dict
           (Nexsort.Entry.Start
              { level = 3; pos = i; name = "employee";
                attrs = [ ("ID", string_of_int ((i * 7919) mod 4096)) ];
@@ -865,7 +845,7 @@ let wall () =
   let codec_decode () =
     Array.iter
       (fun p ->
-        let v = Nexsort.Entry.View.of_payload Config.Dict p in
+        let v = Nexsort.Entry.View.of_payload p in
         ignore (Nexsort.Entry.View.sibling_key v : Nexsort.Key.t))
       enc_payloads
   in
@@ -1101,7 +1081,6 @@ let experiments =
     ("threshold", threshold);
     ("model", model);
     ("ablate-degen", ablate_degen);
-    ("ablate-compact", ablate_compact);
     ("ablate-fusion", ablate_fusion);
     ("ablate-runs", ablate_runs);
     ("motivation", motivation);

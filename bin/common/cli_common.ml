@@ -30,18 +30,6 @@ let ordering_term =
     & opt (conv (parse, pp)) (Nexsort.Ordering.by_attr "id")
     & info [ "ordering"; "O" ] ~docv:"SPEC" ~doc)
 
-let encoding_term =
-  let encodings =
-    [ ("plain", Nexsort.Config.Plain); ("dict", Nexsort.Config.Dict);
-      ("packed", Nexsort.Config.Packed) ]
-  in
-  Arg.(
-    value
-    & opt (Arg.enum encodings) Nexsort.Config.Dict
-    & info [ "encoding" ] ~docv:"ENC"
-        ~doc:"Entry encoding: $(b,plain), $(b,dict) (name compression) or $(b,packed) (dict + \
-              end-tag elimination; scan-evaluable orderings only).")
-
 let policy_term =
   let policies =
     List.map
@@ -100,12 +88,12 @@ let config_term =
     Arg.(value & flag & info [ "keep-whitespace" ] ~doc:"Preserve whitespace-only text nodes.")
   in
   let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace no_fuse
-      encoding pager_policy =
+      pager_policy =
     (* Config.make rejects inconsistent sizes; surface that as a clean
        one-line CLI error instead of an uncaught exception *)
     match
       Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
-        ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ~encoding ~keep_whitespace
+        ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ~keep_whitespace
         ~pager_policy ()
     with
     | config -> Ok config
@@ -114,7 +102,7 @@ let config_term =
   Term.term_result'
     Term.(
       const build $ block_size $ memory_blocks $ threshold $ depth_limit $ no_degeneration
-      $ keep_whitespace $ no_fuse_term $ encoding_term $ policy_term)
+      $ keep_whitespace $ no_fuse_term $ policy_term)
 
 let device_term =
   let parse s =

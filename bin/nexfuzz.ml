@@ -2,7 +2,7 @@
 
    Each differential case generates a pathological document, sorts it with
    NEXSORT and the baselines across a sampled config matrix (block size,
-   memory budget, replacement policy, fusion, encoding, device spec), and
+   memory budget, replacement policy, fusion, depth limit, device spec), and
    demands byte-identical agreement with the in-memory reference oracle
    plus a pass through the independent streaming validator and the
    resource-invariant probes.
@@ -41,14 +41,8 @@ let differential_config ~seed i =
   let fuse = i / 4 mod 2 = 0 in
   let ordering_spec = orderings.(i mod Array.length orderings) in
   let ordering = Ordering.of_spec_string ordering_spec in
-  let scan = Ordering.all_scan_evaluable ordering in
   let block_size = [| 512; 1024; 4096 |].(Xmlgen.Splitmix.int rng 3) in
   let memory_blocks = [| 8; 16; 64 |].(Xmlgen.Splitmix.int rng 3) in
-  let encoding =
-    if scan && i mod 6 = 0 then Nexsort.Config.Packed
-    else if i mod 6 = 3 then Nexsort.Config.Plain
-    else Nexsort.Config.Dict
-  in
   let depth_limit = if i mod 7 = 5 then Some 2 else None in
   (* decorrelated from the fusion pick: [fuse] (i / 4 mod 2) holds for
      runs of four cases, longer than the device period (i mod 3), so every
@@ -57,14 +51,13 @@ let differential_config ~seed i =
     if i mod 3 = 0 then Extmem.Device_spec.parse "traced/mem" else Extmem.Device_spec.default
   in
   let config =
-    Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ~encoding
-      ~device ~pager_policy:policy ()
+    Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ~device
+      ~pager_policy:policy ()
   in
   let cli_flags =
-    Printf.sprintf "-O '%s' -B %d -M %d --policy %s --encoding %s%s%s%s" ordering_spec
+    Printf.sprintf "-O '%s' -B %d -M %d --policy %s%s%s%s" ordering_spec
       block_size memory_blocks
       (Extmem.Frame_arena.policy_to_string policy)
-      (match encoding with Plain -> "plain" | Dict -> "dict" | Packed -> "packed")
       (if fuse then "" else " --no-fuse")
       (match depth_limit with None -> "" | Some d -> Printf.sprintf " -d %d" d)
       (if i mod 3 = 0 then " --device traced/mem" else "")

@@ -21,7 +21,6 @@ type report = {
 (* Pull-stream of encoded key-path records for the whole document. *)
 let record_stream ~config ~ordering ~dict parser counters =
   let evaluator = Ordering.Evaluator.create ordering in
-  let enc = config.Config.encoding in
   let stack = ref [] in (* components of open elements, innermost first *)
   let pos = ref 0 in
   let level () = List.length !stack in
@@ -36,7 +35,7 @@ let record_stream ~config ~ordering ~dict parser counters =
   in
   let emit entry own =
     let record =
-      Keypath.encode_record (List.rev !stack @ [ own ]) ~payload:(Entry.encode enc dict entry)
+      Keypath.encode_record (List.rev !stack @ [ own ]) ~payload:(Entry.encode dict entry)
     in
     let n_rec, n_bytes = !counters in
     counters := (n_rec + 1, n_bytes + String.length record);
@@ -97,7 +96,6 @@ let sort_device ?(config = Config.make ()) ~ordering ~input ~output () =
         (record_stream ~config ~ordering ~dict parser counters, ignore))
   in
   let temp = Config.scratch_device config ~name:"temp" in
-  let enc = config.Config.encoding in
   (* reconstruction sink: sorted key-path order is the sorted document's
      pre-order; end tags come back from level transitions (§3.2).  The
      close flushes whole blocks before validating writer depth. *)
@@ -113,7 +111,7 @@ let sort_device ?(config = Config.make ()) ~ordering ~input ~output () =
           done
         in
         let push record =
-          match Entry.decode enc dict (Keypath.decode_payload record) with
+          match Entry.decode dict (Keypath.decode_payload record) with
           | Entry.Start { name; attrs; level; _ } ->
               close_to level;
               Xmlio.Writer.event writer (Xmlio.Event.Start (name, attrs));

@@ -10,9 +10,9 @@
 
     Requires a scan-evaluable ordering — the record of an element is
     emitted when its start tag is read, before any subtree-derived key
-    could be known.  Compaction (§3.2) applies here too via
-    {!Nexsort.Config.encoding}, mirroring the paper's implementation which
-    enables it for both algorithms. *)
+    could be known.  Its record payloads are {!Nexsort.Entry} encodings,
+    so §3.2's name compaction applies here too, mirroring the paper's
+    implementation which enables it for both algorithms. *)
 
 type report = {
   records : int;        (** key-path records generated (one per node) *)

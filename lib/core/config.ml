@@ -1,8 +1,3 @@
-type encoding =
-  | Plain
-  | Dict
-  | Packed
-
 type t = {
   block_size : int;
   memory_blocks : int;
@@ -10,7 +5,6 @@ type t = {
   depth_limit : int option;
   degeneration : bool;
   root_fusion : bool;
-  encoding : encoding;
   data_stack_blocks : int;
   path_stack_blocks : int;
   keep_whitespace : bool;
@@ -20,7 +14,7 @@ type t = {
 }
 
 let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(degeneration = true)
-    ?(root_fusion = true) ?(encoding = Dict) ?data_stack_blocks ?(path_stack_blocks = 2)
+    ?(root_fusion = true) ?data_stack_blocks ?(path_stack_blocks = 2)
     ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default)
     ?(pager_policy = Extmem.Pager.Lru) ?(tracer = Obs.Tracer.null) () =
   let threshold = Option.value threshold ~default:(2 * block_size) in
@@ -54,7 +48,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
     depth_limit;
     degeneration;
     root_fusion;
-    encoding;
     data_stack_blocks;
     path_stack_blocks;
     keep_whitespace;
@@ -105,26 +98,12 @@ let scratch_device t ~name =
 
 let memory_bytes t = t.block_size * t.memory_blocks
 
-let validate_ordering t ordering =
-  match t.encoding with
-  | Packed when not (Ordering.all_scan_evaluable ordering) ->
-      invalid_arg
-        "Config: Packed encoding eliminates end-tag entries and cannot carry subtree-derived \
-         keys; use a scan-evaluable ordering or the Dict encoding"
-  | Packed | Plain | Dict -> ()
-
-let pp_encoding ppf = function
-  | Plain -> Format.pp_print_string ppf "plain"
-  | Dict -> Format.pp_print_string ppf "dict"
-  | Packed -> Format.pp_print_string ppf "packed"
-
 let pp ppf t =
   Format.fprintf ppf
-    "{B=%dB; M=%d blocks (%d KiB); t=%dB; depth_limit=%s; degeneration=%b; fusion=%b; encoding=%a; \
-     policy=%s}"
+    "{B=%dB; M=%d blocks (%d KiB); t=%dB; depth_limit=%s; degeneration=%b; fusion=%b; policy=%s}"
     t.block_size t.memory_blocks
     (memory_bytes t / 1024)
     t.threshold
     (match t.depth_limit with Some d -> string_of_int d | None -> "none")
-    t.degeneration t.root_fusion pp_encoding t.encoding
+    t.degeneration t.root_fusion
     (Extmem.Frame_arena.policy_to_string t.pager_policy)

@@ -4,16 +4,8 @@
     memory size (the external-memory model's [B] and [M]), the sort
     threshold [t] (§3: sort a complete subtree once its on-stack size
     reaches [t]; §5 finds roughly twice the block size works well), the
-    optional depth limit (§3.2), the graceful-degeneration switch (§3.2),
-    and the entry encoding (§3.2's compaction techniques). *)
-
-type encoding =
-  | Plain   (** names stored inline; explicit end-tag entries *)
-  | Dict    (** names dictionary-coded to integers; explicit end-tag
-                entries *)
-  | Packed  (** dictionary coding plus end-tag elimination: start entries
-                carry level numbers, end tags are reconstructed on output.
-                Requires a scan-evaluable ordering. *)
+    optional depth limit (§3.2) and the graceful-degeneration switch
+    (§3.2). *)
 
 type t = {
   block_size : int;     (** bytes per block (the paper uses 64 KiB) *)
@@ -30,7 +22,6 @@ type t = {
       (** stream the final (root) subtree sort straight into the output
           phase instead of materialising the root run and re-reading it —
           saves two passes over the document *)
-  encoding : encoding;
   data_stack_blocks : int;  (** resident window of the data stack (>= 1) *)
   path_stack_blocks : int;  (** resident window of the path stack (>= 2
                                 per the paper's analysis) *)
@@ -59,7 +50,6 @@ val make :
   ?depth_limit:int ->
   ?degeneration:bool ->
   ?root_fusion:bool ->
-  ?encoding:encoding ->
   ?data_stack_blocks:int ->
   ?path_stack_blocks:int ->
   ?keep_whitespace:bool ->
@@ -69,8 +59,8 @@ val make :
   unit ->
   t
 (** Defaults: 4 KiB blocks, 64 memory blocks, threshold [2 * block_size],
-    no depth limit, degeneration and root fusion on, [Dict] encoding, 2 path-stack
-    resident blocks, whitespace dropped.  The data-stack window
+    no depth limit, degeneration and root fusion on, 2 path-stack resident
+    blocks, whitespace dropped.  The data-stack window
     defaults to covering twice the threshold (so the stack's oscillation
     between subtree collapses stays resident), clamped so the fixed
     buffers and a 3-block sort arena still fit the memory budget.
@@ -98,10 +88,5 @@ val attach_trace_observer : t -> name:string -> Extmem.Trace.t -> unit
     [access.read:<name>]/[access.write:<name>] counter events (value =
     block index — a block-position-over-time graph in Perfetto).  No-op
     when tracing is disabled; {!Extmem.Trace.detach} silences it. *)
-
-val validate_ordering : t -> Ordering.t -> unit
-(** @raise Invalid_argument when the encoding is [Packed] but the
-    ordering is not scan-evaluable (end-tag elimination discards the
-    entries that would carry subtree-derived keys). *)
 
 val pp : Format.formatter -> t -> unit

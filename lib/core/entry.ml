@@ -32,29 +32,22 @@ let tag_end = 1
 let tag_text = 2
 let tag_run_ptr = 3
 
-let put_name enc dict e name =
-  match enc with
-  | Config.Plain -> Extmem.Codec.Enc.add_string e name
-  | Config.Dict | Config.Packed -> Extmem.Codec.Enc.add_varint e (Xmlio.Dict.intern dict name)
+let put_name dict e name = Extmem.Codec.Enc.add_varint e (Xmlio.Dict.intern dict name)
+let get_name dict c = Xmlio.Dict.lookup dict (Extmem.Codec.get_varint c)
 
-let get_name enc dict c =
-  match enc with
-  | Config.Plain -> Extmem.Codec.get_string c
-  | Config.Dict | Config.Packed -> Xmlio.Dict.lookup dict (Extmem.Codec.get_varint c)
-
-let encode_to enc dict b e =
+let encode_to dict b e =
   Extmem.Codec.Enc.clear b;
   (match e with
   | Start { level; pos; name; attrs; key } ->
       Extmem.Codec.Enc.add_u8 b tag_start;
       Extmem.Codec.Enc.add_varint b level;
       Extmem.Codec.Enc.add_varint b pos;
-      put_name enc dict b name;
+      put_name dict b name;
       Key.encode_opt_enc b key;
       Extmem.Codec.Enc.add_varint b (List.length attrs);
       List.iter
         (fun (k, v) ->
-          put_name enc dict b k;
+          put_name dict b k;
           Extmem.Codec.Enc.add_string b v)
         attrs
   | End { level; pos; key } ->
@@ -76,21 +69,18 @@ let encode_to enc dict b e =
       Extmem.Codec.Enc.add_varint b bytes);
   Extmem.Codec.Enc.contents b
 
-let encode enc dict e = encode_to enc dict (Extmem.Codec.Enc.create ~capacity:64 ()) e
+let encode dict e = encode_to dict (Extmem.Codec.Enc.create ~capacity:64 ()) e
 
 (* Encode a Start entry straight from a parser-packed event: no [t] record,
    no attr assoc list, and when the parser shares the session dict the
    name ids are already resolved (no dictionary probe here). *)
-let encode_start_of_packed enc dict b ~level ~pos ~key (pk : Xmlio.Event.packed) =
+let encode_start_of_packed dict b ~level ~pos ~key (pk : Xmlio.Event.packed) =
   Extmem.Codec.Enc.clear b;
   Extmem.Codec.Enc.add_u8 b tag_start;
   Extmem.Codec.Enc.add_varint b level;
   Extmem.Codec.Enc.add_varint b pos;
   let put_packed_name name id =
-    match enc with
-    | Config.Plain -> Extmem.Codec.Enc.add_string b name
-    | Config.Dict | Config.Packed ->
-        Extmem.Codec.Enc.add_varint b (if id >= 0 then id else Xmlio.Dict.intern dict name)
+    Extmem.Codec.Enc.add_varint b (if id >= 0 then id else Xmlio.Dict.intern dict name)
   in
   put_packed_name pk.Xmlio.Event.pname pk.Xmlio.Event.pname_id;
   Key.encode_opt_enc b key;
@@ -118,20 +108,20 @@ let encode_end_to b ~level ~pos ~key =
   Key.encode_opt_enc b key;
   Extmem.Codec.Enc.contents b
 
-let decode enc dict s =
+let decode dict s =
   let c = Extmem.Codec.cursor s in
   let tag = Extmem.Codec.get_u8 c in
   let level = Extmem.Codec.get_varint c in
   let pos = Extmem.Codec.get_varint c in
   if tag = tag_start then begin
-    let name = get_name enc dict c in
+    let name = get_name dict c in
     let key = Key.decode_opt c in
     let nattrs = Extmem.Codec.get_varint c in
     (* explicit loop: the order of decoding side effects matters *)
     let rec read_attrs n acc =
       if n = 0 then List.rev acc
       else begin
-        let k = get_name enc dict c in
+        let k = get_name dict c in
         let v = Extmem.Codec.get_string c in
         read_attrs (n - 1) ((k, v) :: acc)
       end
@@ -158,14 +148,13 @@ module View = struct
 
   type t = {
     payload : string;
-    enc : Config.encoding;
     kind : kind;
     level : int;
     pos : int;
     body : int;
   }
 
-  let of_payload enc payload =
+  let of_payload payload =
     let c = Extmem.Codec.cursor payload in
     let tag = Extmem.Codec.get_u8 c in
     let level = Extmem.Codec.get_varint c in
@@ -177,24 +166,19 @@ module View = struct
       else if tag = tag_run_ptr then Vrun_ptr
       else raise (Extmem.Codec.Corrupt (Printf.sprintf "Entry.View: bad tag %d" tag))
     in
-    { payload; enc; kind; level; pos; body = c.Extmem.Codec.pos }
+    { payload; kind; level; pos; body = c.Extmem.Codec.pos }
 
   let payload v = v.payload
   let kind v = v.kind
   let level v = v.level
   let pos v = v.pos
 
-  let skip_name v c =
-    match v.enc with
-    | Config.Plain -> Extmem.Codec.skip_string c
-    | Config.Dict | Config.Packed -> Extmem.Codec.skip_varint c
-
   (* Field reads below re-cursor into the payload on demand: nothing past
      [body] is touched (or allocated) unless a consumer asks for it. *)
 
   let start_key v =
     let c = Extmem.Codec.cursor ~pos:v.body v.payload in
-    skip_name v c;
+    Extmem.Codec.skip_varint c;
     Key.decode_opt c
 
   let end_key v = Key.decode_opt (Extmem.Codec.cursor ~pos:v.body v.payload)
@@ -212,7 +196,7 @@ module View = struct
     let bytes = Extmem.Codec.get_varint c in
     (key, run, bytes)
 
-  let to_entry dict v = decode v.enc dict v.payload
+  let to_entry dict v = decode dict v.payload
 end
 
 let pp ppf = function

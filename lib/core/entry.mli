@@ -6,19 +6,15 @@
     of key-path records during external subtree sorts.
 
     Every entry carries its absolute document level (root element =
-    level 1), which lets any consumer rebuild the tree shape without
-    relying on end-tag entries — the basis of §3.2's end-tag elimination.
+    level 1), which lets output rebuild end tags from level transitions.
     [Start] entries carry the element's key when the ordering is
     scan-evaluable; otherwise the key travels on the matching [End] entry
     (evaluated by the streaming {!Ordering.Evaluator} during the scan,
     §3.2's path-stack augmentation).  [pos] fields are document positions
     used as the uniqueness tiebreak.
 
-    The encoding implements the compaction techniques of §3.2: with
-    {!Config.Dict} and {!Config.Packed}, tag and attribute names are
-    dictionary-coded integers; with {!Config.Packed} the sorting phase
-    additionally never materialises [End] entries (output reconstructs end
-    tags from level transitions). *)
+    Tag and attribute names are dictionary-coded integers (§3.2's name
+    compaction); the dictionary is the session's {!Xmlio.Dict.t}. *)
 
 type t =
   | Start of {
@@ -55,17 +51,15 @@ val sibling_key : t -> Key.t
     [Start]/[Run_ptr] ([Null] when it is on the [End] entry instead),
     [Null] for [Text]. *)
 
-val encode : Config.encoding -> Xmlio.Dict.t -> t -> string
-(** Serialize.  The dictionary is consulted/extended for [Dict]/[Packed];
-    ignored for [Plain]. *)
+val encode : Xmlio.Dict.t -> t -> string
+(** Serialize, interning names into the dictionary. *)
 
-val encode_to : Config.encoding -> Xmlio.Dict.t -> Extmem.Codec.Enc.t -> t -> string
+val encode_to : Xmlio.Dict.t -> Extmem.Codec.Enc.t -> t -> string
 (** {!encode} through a reusable scratch encoder (cleared first); the
     returned string is freshly allocated, the scratch only amortizes the
     intermediate buffer. *)
 
 val encode_start_of_packed :
-  Config.encoding ->
   Xmlio.Dict.t ->
   Extmem.Codec.Enc.t ->
   level:int ->
@@ -84,8 +78,8 @@ val encode_text_to : Extmem.Codec.Enc.t -> level:int -> pos:int -> string -> str
 val encode_end_to : Extmem.Codec.Enc.t -> level:int -> pos:int -> key:Key.t option -> string
 (** Encode an [End] entry without building the [t] record. *)
 
-val decode : Config.encoding -> Xmlio.Dict.t -> string -> t
-(** Inverse of {!encode} for the same encoding and dictionary.
+val decode : Xmlio.Dict.t -> string -> t
+(** Inverse of {!encode} for the same dictionary.
     @raise Extmem.Codec.Corrupt on malformed bytes. *)
 
 (** In-place entry views.
@@ -110,7 +104,7 @@ module View : sig
 
   type t
 
-  val of_payload : Config.encoding -> string -> t
+  val of_payload : string -> t
   (** Wrap one encoded entry.  @raise Extmem.Codec.Corrupt on a bad tag. *)
 
   val payload : t -> string

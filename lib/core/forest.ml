@@ -36,39 +36,20 @@ let build_forest views =
         top.children <- List.rev top.children;
         open_stack := rest
   in
-  (* close open elements whose level shows they ended (packed mode, where
-     End entries are absent) *)
-  let close_to level =
-    while
-      match !open_stack with
-      | top :: _ -> Entry.View.level top.view >= level
-      | [] -> false
-    do
-      close ()
-    done
-  in
   List.iter
     (fun v ->
       match Entry.View.kind v with
       | Entry.View.Vend ->
-          let level = Entry.View.level v in
-          close_to (level + 1);
           (match (!open_stack, Entry.View.end_key v) with
-          | top :: _, Some k when Entry.View.level top.view = level -> top.key <- k
+          | top :: _, Some k -> top.key <- k
           | _ -> ());
-          close_to level
+          close ()
       | Entry.View.Vstart ->
-          close_to (Entry.View.level v);
           let n = node_of_view v in
           attach n;
           open_stack := n :: !open_stack
-      | Entry.View.Vtext | Entry.View.Vrun_ptr ->
-          close_to (Entry.View.level v);
-          attach (node_of_view v))
+      | Entry.View.Vtext | Entry.View.Vrun_ptr -> attach (node_of_view v))
     views;
-  while !open_stack <> [] do
-    close ()
-  done;
   List.rev !roots
 
 (* ---- sorting ---- *)
@@ -104,15 +85,14 @@ let forest_size nodes =
    encoded entries (a run writer, or the fused output phase).  The stored
    payloads pass through byte-identical; [scratch] is only used to encode
    synthesized End entries. *)
-let rec emit_node ~packed scratch emit n =
+let rec emit_node scratch emit n =
   emit (Entry.View.payload n.view);
   match Entry.View.kind n.view with
   | Entry.View.Vstart ->
-      List.iter (emit_node ~packed scratch emit) n.children;
-      if not packed then
-        emit
-          (Entry.encode_end_to scratch ~level:(Entry.View.level n.view)
-             ~pos:(Entry.View.pos n.view) ~key:None)
+      List.iter (emit_node scratch emit) n.children;
+      emit
+        (Entry.encode_end_to scratch ~level:(Entry.View.level n.view)
+           ~pos:(Entry.View.pos n.view) ~key:None)
   | Entry.View.Vtext | Entry.View.Vrun_ptr -> ()
   | Entry.View.Vend -> assert false (* nodes are never built from End entries *)
 
@@ -185,25 +165,17 @@ let reverse_records ~enc ~depth_limit input =
             let k = Option.value (Entry.View.end_key v) ~default:Key.Null in
             stack := keypath_component ~depth_limit k v :: !stack;
             next ()
-        | Entry.View.Vstart ->
-            (* own component is the stack top when an End was seen (it
-               carries the authoritative key); synthesize it otherwise
-               (packed) *)
-            let path =
-              match !stack with
-              | _ :: _ -> List.rev !stack
-              | [] ->
-                  [
-                    keypath_component ~depth_limit
-                      (Option.value (Entry.View.start_key v) ~default:Key.Null)
-                      v;
-                  ]
-            in
-            let record = Keypath.encode_record ~enc path ~payload:(Entry.View.payload v) in
-            (match !stack with
-            | _ :: rest -> stack := rest
-            | [] -> ());
-            Some record
+        | Entry.View.Vstart -> (
+            (* own component is the stack top, pushed by the element's
+               End (which carries the authoritative key) *)
+            match !stack with
+            | _ :: rest as path ->
+                let record =
+                  Keypath.encode_record ~enc (List.rev path) ~payload:(Entry.View.payload v)
+                in
+                stack := rest;
+                Some record
+            | [] -> assert false (* in reverse order every End precedes its Start *))
         | Entry.View.Vtext | Entry.View.Vrun_ptr ->
             let own = keypath_component ~depth_limit (Entry.View.sibling_key v) v in
             let record =
@@ -219,25 +191,19 @@ let reverse_records ~enc ~depth_limit input =
    verbatim, synthesizing End entries from level transitions (the
    open-tag stack is O(height) internal state).  [finish] closes the
    remaining open tags — call it after the sort has drained. *)
-let keypath_output ~encoding ~enc emit =
-  let packed = encoding = Config.Packed in
+let keypath_output ~enc emit =
   let opens = ref [] in (* (level, pos) of open Start entries *)
-  let close_down_to level =
-    if not packed then
-      let rec go () =
-        match !opens with
-        | (l, pos) :: rest when l >= level ->
-            emit (Entry.encode_end_to enc ~level:l ~pos ~key:None);
-            opens := rest;
-            go ()
-        | _ -> ()
-      in
-      go ()
-    else opens := List.filter (fun (l, _) -> l < level) !opens
+  let rec close_down_to level =
+    match !opens with
+    | (l, pos) :: rest when l >= level ->
+        emit (Entry.encode_end_to enc ~level:l ~pos ~key:None);
+        opens := rest;
+        close_down_to level
+    | _ -> ()
   in
   let output record =
     let payload = Keypath.decode_payload record in
-    let v = Entry.View.of_payload encoding payload in
+    let v = Entry.View.of_payload payload in
     close_down_to (Entry.View.level v);
     emit payload;
     match Entry.View.kind v with
@@ -249,7 +215,7 @@ let keypath_output ~encoding ~enc emit =
 (* Pull-based pre-order walk of a sorted forest: an explicit work list
    replaces emit_node's recursion so the sorted entries can feed a
    pipeline stage one at a time. *)
-let forest_pull ~packed forest =
+let forest_pull forest =
   let scratch = Extmem.Codec.Enc.create ~capacity:32 () in
   let work = ref (List.map (fun n -> `Node n) forest) in
   fun () ->
@@ -263,8 +229,7 @@ let forest_pull ~packed forest =
           match Entry.View.kind n.view with
           | Entry.View.Vstart ->
               let level = Entry.View.level n.view and pos = Entry.View.pos n.view in
-              let rest = if packed then rest else `End (level, pos) :: rest in
-              List.map (fun c -> `Node c) n.children @ rest
+              List.map (fun c -> `Node c) n.children @ (`End (level, pos) :: rest)
           | Entry.View.Vtext | Entry.View.Vrun_ptr -> rest
           | Entry.View.Vend -> assert false (* nodes are never built from End entries *)
         in

@@ -4,8 +4,8 @@
 
     Nodes wrap {!Entry.View.t}s, so building and sorting a forest never
     decodes names, attributes or text, and emission passes the original
-    encoded payloads through byte-identical (End entries synthesized in
-    unpacked mode are the only bytes produced here).  No session, device
+    encoded payloads through byte-identical (synthesized End entries are
+    the only bytes produced here).  No session, device
     or shared state is touched; {!Subtree_sort} binds them to a
     session. *)
 
@@ -18,10 +18,9 @@ type node = {
 val node_of_view : Entry.View.t -> node
 
 val build_forest : Entry.View.t list -> node list
-(** Rebuild the sibling forest from entry views in document order.  End
-    entries resolve their element's key and close it; in packed mode
-    (no End entries) elements close when a following entry's level shows
-    they ended. *)
+(** Rebuild the sibling forest from entry views in document order
+    (complete elements: every Start has its End).  End entries resolve
+    their element's key and close it. *)
 
 val compare_siblings : node -> node -> int
 (** Key order, document position as tiebreak. *)
@@ -32,12 +31,12 @@ val sort_forest : depth_limit:int option -> node list -> node list
 
 val forest_size : node list -> int
 
-val emit_node : packed:bool -> Extmem.Codec.Enc.t -> (string -> unit) -> node -> unit
+val emit_node : Extmem.Codec.Enc.t -> (string -> unit) -> node -> unit
 (** Emit a node's entries in sorted pre-order, passing stored payloads
     through verbatim and synthesizing End entries (via the scratch
-    encoder) unless [packed]. *)
+    encoder). *)
 
-val forest_pull : packed:bool -> node list -> unit -> string option
+val forest_pull : node list -> unit -> string option
 (** Pull-based pre-order walk of a sorted forest, for feeding a pipeline
     stage one entry at a time. *)
 
@@ -69,12 +68,11 @@ val reverse_records :
     authoritative element keys. *)
 
 val keypath_output :
-  encoding:Config.encoding ->
   enc:Extmem.Codec.Enc.t ->
   (string -> unit) ->
   (string -> unit) * (unit -> unit)
-(** [keypath_output ~encoding ~enc emit] is the reconstruction sink for a
-    sorted key-path record stream: the returned output function emits
-    each record's payload verbatim, synthesizing End entries from level
-    transitions (unless packed); the returned finish closes the remaining
-    open tags — call it once the sort has drained. *)
+(** [keypath_output ~enc emit] is the reconstruction sink for a sorted
+    key-path record stream: the returned output function emits each
+    record's payload verbatim, synthesizing End entries from level
+    transitions; the returned finish closes the remaining open tags —
+    call it once the sort has drained. *)

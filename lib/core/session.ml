@@ -123,11 +123,9 @@ let with_temp t f =
       Extmem.Device.close dev)
     (fun () -> f dev)
 
-let encode_entry t e = Entry.encode_to t.config.Config.encoding t.dict t.enc_scratch e
+let encode_entry t e = Entry.encode_to t.dict t.enc_scratch e
 
-let decode_entry t s = Entry.decode t.config.Config.encoding t.dict s
-
-let view_entry t s = Entry.View.of_payload t.config.Config.encoding s
+let decode_entry t s = Entry.decode t.dict s
 
 let io_breakdown t =
   [

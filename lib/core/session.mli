@@ -106,14 +106,10 @@ val with_temp : t -> (Extmem.Device.t -> 'a) -> 'a
     reserve the arena. *)
 
 val encode_entry : t -> Entry.t -> string
-(** {!Entry.encode} under the session's encoding and dictionary (through
-    the session's scratch encoder). *)
+(** {!Entry.encode} under the session's dictionary (through the
+    session's scratch encoder). *)
 
 val decode_entry : t -> string -> Entry.t
-
-val view_entry : t -> string -> Entry.View.t
-(** {!Entry.View.of_payload} under the session's encoding: wrap an
-    encoded entry without decoding names, attributes or text. *)
 
 val io_breakdown : t -> (string * Extmem.Io_stats.t) list
 (** Per-component I/O counters: data/path/output-location stacks, runs

@@ -130,8 +130,6 @@ let pop_frame st = decode_frame (Extmem.Ext_stack.pop st.session.Session.path_st
 
 let peek_frame st = decode_frame (Extmem.Ext_stack.top st.session.Session.path_stack)
 
-let packed st = st.session.Session.config.Config.encoding = Config.Packed
-
 let depth_limit st = st.session.Session.config.Config.depth_limit
 
 (* Entries of the data-stack range [from_, top), as views over the
@@ -139,7 +137,7 @@ let depth_limit st = st.session.Session.config.Config.depth_limit
 let collect_views st ~from_ =
   let acc = ref [] in
   Extmem.Ext_stack.iter_entries_from st.session.Session.data_stack ~pos:from_ (fun payload ->
-      acc := Session.view_entry st.session payload :: !acc);
+      acc := Entry.View.of_payload payload :: !acc);
   List.rev !acc
 
 (* ---- graceful degeneration (§3.2) ----
@@ -184,13 +182,13 @@ let external_scan_input st frame =
   let data = st.session.Session.data_stack in
   if st.scan_evaluable then begin
     let cursor = Extmem.Ext_stack.cursor_from data ~pos:frame.loc in
-    (`Forward, fun () -> Option.map (Session.view_entry st.session) (cursor ()))
+    (`Forward, fun () -> Option.map Entry.View.of_payload (cursor ()))
   end
   else
     ( `Reverse,
       fun () ->
         if Extmem.Ext_stack.length data > frame.loc then
-          Some (Session.view_entry st.session (Extmem.Ext_stack.pop data))
+          Some (Entry.View.of_payload (Extmem.Ext_stack.pop data))
         else None )
 
 (* Sort the complete subtree beginning at [frame.loc] and replace it by a
@@ -268,15 +266,14 @@ let open_root_source st frame =
       in
       let start_view =
         match Extmem.Ext_stack.cursor_from data ~pos:frame.loc () with
-        | Some payload -> Session.view_entry st.session payload
+        | Some payload -> Entry.View.of_payload payload
         | None -> assert false
       in
       st.n_fragment_merges <- st.n_fragment_merges + 1;
       Subtree_sort.merge_fragments_source st.session ~start_view ~fragments
     end
     else begin
-      if not (packed st) then
-        push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some Key.Null);
+      push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some Key.Null);
       let size = Extmem.Ext_stack.length data - frame.loc in
       if size <= Session.arena_bytes st.session then begin
         st.n_in_memory <- st.n_in_memory + 1;
@@ -315,7 +312,7 @@ let collapse_fragments st frame resolved_key =
   (* the element's own Start entry is the first entry at frame.loc *)
   let start_view =
     match Extmem.Ext_stack.cursor_from data ~pos:frame.loc () with
-    | Some payload -> Session.view_entry st.session payload
+    | Some payload -> Entry.View.of_payload payload
     | None -> assert false
   in
   let run = Subtree_sort.merge_fragments st.session ~start_view ~fragments in
@@ -338,8 +335,8 @@ let on_start st (p : Xmlio.Event.packed) =
   in
   let loc = Extmem.Ext_stack.length st.session.Session.data_stack in
   push_payload st
-    (Entry.encode_start_of_packed st.session.Session.config.Config.encoding
-       st.session.Session.dict st.session.Session.enc_scratch ~level:st.level ~pos:st.pos ~key p);
+    (Entry.encode_start_of_packed st.session.Session.dict st.session.Session.enc_scratch
+       ~level:st.level ~pos:st.pos ~key p);
   push_frame st
     {
       loc;
@@ -373,8 +370,7 @@ let on_end st =
   else begin
       if frame.frags <> [] then collapse_fragments st frame resolved_key
       else begin
-        if not (packed st) then
-          push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
+        push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
         let size = Extmem.Ext_stack.length st.session.Session.data_stack - frame.loc in
         let is_root = frame.flevel = 1 in
         let depth_ok =
@@ -487,13 +483,13 @@ let writer_sink output =
 
 (* The scan pulls the parser's packed scratch through the pipe: each
    element is consumed (encoded onto the data stack) before the next
-   pull overwrites it, so the shared record is safe here.  With a
-   dictionary (Dict/Packed encodings) the parser interns names as it
-   reads them and the entry encoder writes the ids straight out. *)
-let scan_source ?dict ~keep_whitespace input =
+   pull overwrites it, so the shared record is safe here.  The parser
+   interns names into the session dictionary as it reads them and the
+   entry encoder writes the ids straight out. *)
+let scan_source ~dict ~keep_whitespace input =
   Pipe.source ~mem:1 ~who:"input scan" (fun () ->
       let parser =
-        Xmlio.Parser.of_reader ?dict ~keep_whitespace (Extmem.Block_reader.of_device input)
+        Xmlio.Parser.of_reader ~dict ~keep_whitespace (Extmem.Block_reader.of_device input)
       in
       ((fun () -> Xmlio.Parser.next_packed parser), ignore))
 
@@ -527,14 +523,10 @@ let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
     }
   in
   Log.info (fun m -> m "sorting phase: %a" Config.pp config);
-  let dict =
-    match config.Config.encoding with
-    | Config.Plain -> None (* plain entries never consult the dictionary *)
-    | Config.Dict | Config.Packed -> Some session.Session.dict
-  in
   in_span st "input_scan" (fun () ->
       Pipe.run ~spans ~budget:session.Session.budget
-        (scan_source ?dict ~keep_whitespace:config.Config.keep_whitespace input)
+        (scan_source ~dict:session.Session.dict ~keep_whitespace:config.Config.keep_whitespace
+           input)
         (Pipe.fn_sink ~who:"sort scan" (fun (p : Xmlio.Event.packed) ->
              (* cancellation checkpoint: one poll per scan event *)
              session.Session.poll ();
@@ -629,7 +621,6 @@ let sort_device ?config ?session ~ordering ~input ~output () =
     | Some s -> s.Session.config
     | None -> Option.value config ~default:(Config.make ())
   in
-  Config.validate_ordering config ordering;
   let t0 = Unix.gettimeofday () in
   let session = match session with Some s -> s | None -> Session.create config in
   (* span meters: cumulative I/O and simulated time over every device the
@@ -688,7 +679,6 @@ let open_stream ?config ?session ~ordering ~input () =
     | Some s -> s.Session.config
     | None -> Option.value config ~default:(Config.make ())
   in
-  Config.validate_ordering config ordering;
   let t0 = Unix.gettimeofday () in
   let session = match session with Some s -> s | None -> Session.create config in
   let io_meter () =
@@ -745,12 +735,6 @@ let config_json (c : Config.t) =
       ("depth_limit", (match c.Config.depth_limit with Some d -> Int d | None -> Null));
       ("degeneration", Bool c.Config.degeneration);
       ("root_fusion", Bool c.Config.root_fusion);
-      ( "encoding",
-        Str
-          (match c.Config.encoding with
-          | Config.Plain -> "plain"
-          | Config.Dict -> "dict"
-          | Config.Packed -> "packed") );
       ("data_stack_blocks", Int c.Config.data_stack_blocks);
       ("path_stack_blocks", Int c.Config.path_stack_blocks);
       ("keep_whitespace", Bool c.Config.keep_whitespace);

@@ -89,9 +89,7 @@ val sort_device :
     path, exactly like a self-created one, and overrides [config] (the
     session's own config is used).
 
-    @raise Xmlio.Parser.Error on malformed input.
-    @raise Invalid_argument on a configuration/ordering mismatch (see
-    {!Config.validate_ordering}). *)
+    @raise Xmlio.Parser.Error on malformed input. *)
 
 val sort_string :
   ?config:Config.t -> ordering:Ordering.t -> string -> string * report

@@ -16,18 +16,14 @@ let sort_forest = Forest.sort_forest
 
 let forest_size = Forest.forest_size
 
-let packed (session : Session.t) = session.Session.config.Config.encoding = Config.Packed
-
 let emit_node (session : Session.t) emit n =
-  Forest.emit_node ~packed:(packed session) session.Session.enc_scratch emit n
+  Forest.emit_node session.Session.enc_scratch emit n
 
 let write_node session w n = emit_node session (Extmem.Block_writer.write_record w) n
 
-let forest_pull session forest = Forest.forest_pull ~packed:(packed session) forest
-
 let sort_in_memory_source (session : Session.t) views =
   let depth_limit = session.Session.config.Config.depth_limit in
-  forest_pull session (sort_forest ~depth_limit (build_forest views))
+  Forest.forest_pull (sort_forest ~depth_limit (build_forest views))
 
 let sort_in_memory_to (session : Session.t) views emit =
   let depth_limit = session.Session.config.Config.depth_limit in
@@ -42,7 +38,7 @@ let sort_in_memory (session : Session.t) views =
 (* ---- key-path external sort ---- *)
 
 (* The pure record streams and reconstruction live in [Forest]; these
-   wrappers bind them to the session's encoder and config. *)
+   wrappers bind them to the session's encoder. *)
 
 let forward_records (session : Session.t) ~depth_limit input =
   Forest.forward_records ~enc:session.Session.enc_scratch ~depth_limit input
@@ -57,10 +53,7 @@ let sort_external_to (session : Session.t) ~input ~scan emit =
     | `Forward -> forward_records session ~depth_limit input
     | `Reverse -> reverse_records session ~depth_limit input
   in
-  let output, finish =
-    Forest.keypath_output ~encoding:session.Session.config.Config.encoding
-      ~enc:session.Session.enc_scratch emit
-  in
+  let output, finish = Forest.keypath_output ~enc:session.Session.enc_scratch emit in
   let stats =
     try
       Session.with_temp session (fun temp ->
@@ -125,23 +118,9 @@ let sort_external_source (session : Session.t) ~input ~scan =
       retire ();
       raise e
   in
-  let encoding = session.Session.config.Config.encoding in
-  let opens = ref [] in (* (level, pos) of open Start entries *)
   let pending = Queue.create () in (* encoded entries ready to emit *)
-  let close_down_to level =
-    if not (packed session) then
-      let rec go () =
-        match !opens with
-        | (l, pos) :: rest when l >= level ->
-            Queue.push
-              (Entry.encode_end_to session.Session.enc_scratch ~level:l ~pos ~key:None)
-              pending;
-            opens := rest;
-            go ()
-        | _ -> ()
-      in
-      go ()
-    else opens := List.filter (fun (l, _) -> l < level) !opens
+  let output, finish =
+    Forest.keypath_output ~enc:session.Session.enc_scratch (fun p -> Queue.push p pending)
   in
   let finished = ref false in
   let rec pull () =
@@ -150,17 +129,11 @@ let sort_external_source (session : Session.t) ~input ~scan =
     else
       match o.Extsort.External_sort.pull () with
       | Some record ->
-          let payload = Keypath.decode_payload record in
-          let v = Entry.View.of_payload encoding payload in
-          close_down_to (Entry.View.level v);
-          Queue.push payload pending;
-          (match Entry.View.kind v with
-          | Entry.View.Vstart -> opens := (Entry.View.level v, Entry.View.pos v) :: !opens
-          | Entry.View.Vtext | Entry.View.Vrun_ptr | Entry.View.Vend -> ());
+          output record;
           pull ()
       | None ->
           finished := true;
-          close_down_to 0;
+          finish ();
           o.Extsort.External_sort.close ();
           retire ();
           pull ()
@@ -346,13 +319,12 @@ let merged_pull session ~start_view ~fragments =
     | `Tail -> (
         st := `Done;
         match Entry.View.kind start_view with
-        | Entry.View.Vstart when not (packed session) ->
+        | Entry.View.Vstart ->
             Some
               (Entry.encode_end_to session.Session.enc_scratch
                  ~level:(Entry.View.level start_view) ~pos:(Entry.View.pos start_view)
                  ~key:None)
-        | Entry.View.Vstart | Entry.View.Vend | Entry.View.Vtext | Entry.View.Vrun_ptr ->
-            None)
+        | Entry.View.Vend | Entry.View.Vtext | Entry.View.Vrun_ptr -> None)
     | `Done -> None
   in
   pull

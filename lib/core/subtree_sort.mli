@@ -31,9 +31,8 @@ type node = Forest.node = {
 
 val build_forest : Entry.View.t list -> node list
 (** Rebuild the forest structure of an entry sequence (document order,
-    levels consistent).  [End] entries close elements and contribute
-    their keys; in their absence ({!Config.Packed}) nesting is recovered
-    from the level numbers. *)
+    complete elements).  [End] entries close elements and contribute
+    their keys. *)
 
 val sort_forest : depth_limit:int option -> node list -> node list
 (** Recursively order sibling lists by [(key, pos)], down to the depth
@@ -107,8 +106,8 @@ val merge_fragments :
   fragments:Extmem.Run_store.id list ->
   Extmem.Run_store.id
 (** Merge an element's fragment runs (in creation order) into its
-    complete sorted run, wrapped in the element's start (and, unless
-    packed, end) entry.  Merges multi-pass when the fragment count
+    complete sorted run, wrapped in the element's start and end
+    entries.  Merges multi-pass when the fragment count
     exceeds the memory fan-in. *)
 
 val merge_fragments_to :

@@ -1052,7 +1052,7 @@ module Report = struct
      objects (batch sizes, queue counters, merge + I/O deltas).
      v4: sort reports dropped the per-worker section and the config's
      worker count, with the domain-parallel subtree sort they described. *)
-  let schema_version = 4
+  let schema_version = 5
 
   type t = {
     tool : string;

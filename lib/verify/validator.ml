@@ -65,14 +65,17 @@ let run ?depth_limit ~ordering next =
   in
   let stack = ref [ root ] in
   let parent () = List.hd !stack in
-  let path_of fs =
-    String.concat "/" (List.rev_map (fun f -> f.name) (List.filter (fun f -> f.level > 0) fs))
+  (* the path to the current parent; built only when a finding is
+     recorded, so the scan stays O(1) per event at any depth *)
+  let parent_path () =
+    String.concat "/"
+      (List.rev_map (fun f -> f.name) (List.filter (fun f -> f.level > 0) !stack))
   in
   let checked parent_frame =
     parent_frame.level >= 1
     && match depth_limit with None -> true | Some d -> parent_frame.level <= d
   in
-  let note_key ~key parent_frame ~path =
+  let note_key ~key parent_frame =
     if checked parent_frame then begin
       (match parent_frame.prev with
       | Some p when Key.compare p key > 0 ->
@@ -80,7 +83,7 @@ let run ?depth_limit ~ordering next =
             incr n_findings;
             findings :=
               {
-                path;
+                path = parent_path ();
                 detail =
                   Format.asprintf "key %a after %a under <%s>" Key.pp key Key.pp p
                     parent_frame.name;
@@ -118,7 +121,7 @@ let run ?depth_limit ~ordering next =
             | _ -> Ordering.Evaluator.on_text eval s);
             let p = parent () in
             p.text_h <- fold_string p.text_h s;
-            note_key ~key:Key.Null p ~path:(path_of !stack)
+            note_key ~key:Key.Null p
         | Xmlio.Event.End name -> (
             match !stack with
             | ({ level = 0; _ } :: _ | []) ->
@@ -138,7 +141,7 @@ let run ?depth_limit ~ordering next =
                 stack := rest;
                 let p = parent () in
                 p.acc <- Int64.add p.acc digest;
-                note_key ~key p ~path:(path_of !stack)));
+                note_key ~key p));
         loop ()
   in
   loop ();

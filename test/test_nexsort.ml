@@ -1,6 +1,6 @@
 (* Correctness tests for the NEXSORT core: key/ordering machinery, the
    algorithm itself against the internal-memory oracle, extensions
-   (degeneration, depth limits, encodings, subtree-derived keys), and the
+   (degeneration, depth limits, subtree-derived keys), and the
    key-path baseline. *)
 
 let check = Alcotest.check
@@ -16,9 +16,9 @@ let tree_eq = Alcotest.testable Xmlio.Tree.pp Xmlio.Tree.equal
 let parse = Xmlio.Tree.of_string
 
 (* Small configs so even tiny documents exercise the external machinery. *)
-let tiny_config ?depth_limit ?(degeneration = true) ?(encoding = Config.Dict)
-    ?(memory_blocks = 8) ?(block_size = 128) ?threshold () =
-  Config.make ~block_size ~memory_blocks ?threshold ?depth_limit ~degeneration ~encoding ()
+let tiny_config ?depth_limit ?(degeneration = true) ?(memory_blocks = 8) ?(block_size = 128)
+    ?threshold () =
+  Config.make ~block_size ~memory_blocks ?threshold ?depth_limit ~degeneration ()
 
 let by_id = Ordering.by_attr "id"
 
@@ -227,18 +227,16 @@ let test_entry_roundtrip () =
       Nexsort.Entry.Run_ptr { level = 2; pos = 9; key = Key.Num 3.; run = 12; bytes = 4096 };
     ]
   in
+  let dict = Xmlio.Dict.create () in
   List.iter
-    (fun enc ->
-      let dict = Xmlio.Dict.create () in
-      List.iter
-        (fun e ->
-          let s = Nexsort.Entry.encode enc dict e in
-          let back = Nexsort.Entry.decode enc dict s in
-          check Alcotest.bool (Format.asprintf "%a" Nexsort.Entry.pp e) true (back = e))
-        entries)
-    [ Config.Plain; Config.Dict; Config.Packed ]
+    (fun e ->
+      let s = Nexsort.Entry.encode dict e in
+      let back = Nexsort.Entry.decode dict s in
+      check Alcotest.bool (Format.asprintf "%a" Nexsort.Entry.pp e) true (back = e))
+    entries
 
-(* dict coding must actually shrink repeated names *)
+(* dict coding must actually shrink repeated names: the steady-state
+   entry is shorter than the tag and attribute names it stands for *)
 let test_entry_dict_smaller () =
   let dict = Xmlio.Dict.create () in
   let e =
@@ -247,10 +245,10 @@ let test_entry_dict_smaller () =
         key = Some Key.Null }
   in
   (* intern once so the comparison measures steady state *)
-  ignore (Nexsort.Entry.encode Config.Dict dict e);
-  let dict_len = String.length (Nexsort.Entry.encode Config.Dict dict e) in
-  let plain_len = String.length (Nexsort.Entry.encode Config.Plain (Xmlio.Dict.create ()) e) in
-  check Alcotest.bool "smaller" true (dict_len < plain_len)
+  ignore (Nexsort.Entry.encode dict e);
+  let dict_len = String.length (Nexsort.Entry.encode dict e) in
+  let names_len = String.length "averagelongelementname" + String.length "attribute" in
+  check Alcotest.bool "smaller" true (dict_len < names_len)
 
 (* ------------------------------------------------------------------ *)
 (* Keypath records *)
@@ -342,12 +340,8 @@ let gen_doc ?(height = 4) ?(max_fanout = 6) ?(max_elements = 400) seed =
   in
   s
 
-let test_sort_generated_all_encodings () =
-  let xml = gen_doc 1 in
-  List.iter
-    (fun encoding ->
-      ignore (nexsort_matches_oracle ~config:(tiny_config ~encoding ()) ~ordering:by_id xml))
-    [ Config.Plain; Config.Dict; Config.Packed ]
+let test_sort_generated () =
+  ignore (nexsort_matches_oracle ~config:(tiny_config ()) ~ordering:by_id (gen_doc 1))
 
 let test_sort_degeneration_off () =
   let xml = gen_doc 2 in
@@ -424,14 +418,6 @@ let test_sort_output_is_sorted_invariant () =
   let xml = gen_doc 5 in
   let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
   check Alcotest.bool "invariant" true (Baselines.Tree_sort.sorted by_id (parse sorted))
-
-let test_sort_packed_rejects_subtree_keys () =
-  let ordering = Ordering.make Ordering.By_text in
-  try
-    ignore
-      (Nexsort.sort_string ~config:(tiny_config ~encoding:Config.Packed ()) ~ordering "<a/>");
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
 
 let test_sort_malformed_input () =
   try
@@ -564,7 +550,7 @@ let test_aborted_external_sort_restores_budget () =
            scan does; if the budget has slack the window re-borrows *)
         Extmem.Ext_stack.push session.Nexsort.Session.data_stack (String.make 64 'x');
         Some
-          (Nexsort.Session.view_entry session
+          (Nexsort.Entry.View.of_payload
              (Nexsort.Session.encode_entry session
                 (Nexsort.Entry.Start
                    {
@@ -666,17 +652,15 @@ let test_all_sorters_agree_on_company_docs () =
   check tree_eq "xsort everywhere = full sort" (parse ts) (parse xs)
 
 let test_sort_stress_combined_features () =
-  (* packed encoding + degeneration + compound descending ordering +
-     tiny memory, on a mid-size generated document *)
+  (* degeneration + compound descending ordering + tiny memory, on a
+     mid-size generated document *)
   let xml = gen_doc ~height:5 ~max_fanout:9 ~max_elements:1500 99 in
   let ordering =
     Ordering.make
       ~rules:[ ("n2", Ordering.Desc (Ordering.By_attr "id")) ]
       (Ordering.Composite [ Ordering.By_attr "id"; Ordering.By_tag ])
   in
-  let config =
-    Config.make ~block_size:128 ~memory_blocks:8 ~encoding:Config.Packed ~degeneration:true ()
-  in
+  let config = Config.make ~block_size:128 ~memory_blocks:8 ~degeneration:true () in
   let sorted, report = Nexsort.sort_string ~config ~ordering xml in
   check tree_eq "stress"
     (Baselines.Tree_sort.sort_tree ordering (parse xml))
@@ -961,10 +945,9 @@ let arb_config =
       let* threshold_mult = oneofl [ 1; 2; 4 ] in
       let* degeneration = bool in
       let* root_fusion = bool in
-      let* encoding = oneofl [ Config.Plain; Config.Dict; Config.Packed ] in
       return
         (Config.make ~block_size ~memory_blocks ~threshold:(threshold_mult * block_size)
-           ~degeneration ~root_fusion ~encoding ()))
+           ~degeneration ~root_fusion ()))
 
 let arb_doc =
   QCheck.make
@@ -1058,7 +1041,7 @@ let () =
           Alcotest.test_case "deep chain" `Quick test_sort_deep_chain;
           Alcotest.test_case "duplicate keys stable" `Quick test_sort_duplicate_keys_stable;
           Alcotest.test_case "mixed text children" `Quick test_sort_mixed_text_children;
-          Alcotest.test_case "generated, all encodings" `Quick test_sort_generated_all_encodings;
+          Alcotest.test_case "generated" `Quick test_sort_generated;
           Alcotest.test_case "degeneration off" `Quick test_sort_degeneration_off;
           Alcotest.test_case "flat wide (fragments)" `Quick test_sort_flat_wide;
           Alcotest.test_case "flat wide external" `Quick test_sort_flat_wide_no_degen_external;
@@ -1067,7 +1050,6 @@ let () =
           Alcotest.test_case "depth limited" `Quick test_sort_depth_limited;
           Alcotest.test_case "idempotent" `Quick test_sort_idempotent;
           Alcotest.test_case "sortedness invariant" `Quick test_sort_output_is_sorted_invariant;
-          Alcotest.test_case "packed rejects subtree keys" `Quick test_sort_packed_rejects_subtree_keys;
           Alcotest.test_case "malformed input" `Quick test_sort_malformed_input;
           Alcotest.test_case "fusion off same output" `Quick test_sort_fusion_off_same_output;
           qcheck prop_fusion_identical;

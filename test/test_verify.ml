@@ -77,6 +77,19 @@ let test_validator_flags_missort () =
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs));
   check Alcotest.int "elements counted" 3 rep.Validator.elements
 
+let test_validator_finding_paths_deep () =
+  (* a mis-sorted element pair four levels down and a text node after a
+     keyed sibling: each finding names the full path to its parent *)
+  let ordering = Ordering.by_attr "id" in
+  let doc =
+    {|<r><a id="1"><b id="1"><c id="1"><x id="2"/><x id="1"/></c></b><d id="2"><e id="1"/>t</d></a></r>|}
+  in
+  let rep = Validator.of_string ~ordering doc in
+  check
+    Alcotest.(list string)
+    "finding paths" [ "r/a/b/c"; "r/a/d" ]
+    (List.map (fun f -> f.Validator.path) rep.Validator.findings)
+
 (* plain substring search, no extra deps *)
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -196,6 +209,7 @@ let () =
         [
           Alcotest.test_case "self test" `Quick test_validator_self_test;
           Alcotest.test_case "flags mis-sort" `Quick test_validator_flags_missort;
+          Alcotest.test_case "finding paths deep" `Quick test_validator_finding_paths_deep;
           Alcotest.test_case "digest catches edit" `Quick test_validator_digest_catches_edit;
           Alcotest.test_case "rejects malformed" `Quick test_validator_rejects_malformed;
           Alcotest.test_case "text coalescing invariance" `Quick
