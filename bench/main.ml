@@ -18,11 +18,9 @@ module Ordering = Nexsort.Ordering
 
 let quick = ref false
 let cost = ref false
-let no_fuse = ref false
 let metrics_file = ref None
 let wall_file = ref None
 let trace_file = ref None
-let policy = ref Extmem.Frame_arena.Lru
 
 (* --cost: put a simulated-time (hdd) layer on every device — the
    endpoints below and, via the config's device spec, the sorters'
@@ -41,20 +39,11 @@ let maybe_costed dev =
 module Config = struct
   include Nexsort.Config
 
-  (* every bench config inherits the harness-wide device spec and
-     replacement policy; --no-fuse overrides the fusion default for
-     experiments that don't pin it *)
-  let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?root_fusion
-      ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?pager_policy ?tracer () =
-    let root_fusion =
-      match root_fusion with
-      | Some _ as r -> r
-      | None -> if !no_fuse then Some false else None
-    in
-    let pager_policy = Option.value pager_policy ~default:!policy in
+  (* every bench config inherits the harness-wide device spec *)
+  let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?keep_whitespace
+      ?tracer () =
     Nexsort.Config.make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration
-      ?root_fusion ?data_stack_blocks ?path_stack_blocks ?keep_whitespace
-      ~pager_policy ?tracer ~device:(bench_spec ()) ()
+      ?keep_whitespace ?tracer ~device:(bench_spec ()) ()
 end
 
 let ordering = Ordering.by_attr "id"
@@ -341,26 +330,6 @@ let ablate_degen () =
   subnote
     "(the paper did not implement degeneration and reports NEXSORT losing on flat inputs;\n\
     \ with it, NEXSORT should be within a whisker of merge sort)"
-
-(* ------------------------------------------------------------------ *)
-(* A-fuse: root fusion ablation *)
-
-let ablate_fusion () =
-  heading "A-fuse / ablation: fusing the root sort with the output phase";
-  (* a flat document: the root's sorted run is the entire document, so
-     fusion saves materialising and re-reading all of it *)
-  let fanout = if !quick then 3000 else 15000 in
-  let doc, stats = make_doc ~fanouts:[ fanout ] () in
-  subnote "input: flat, %d elements; memory 32 blocks" stats.Xmlgen.Gen.elements;
-  List.iter
-    (fun (label, root_fusion) ->
-      let config = Config.make ~block_size:1024 ~memory_blocks:32 ~root_fusion () in
-      let input = with_block_size 1024 doc in
-      let nx = run_nexsort ~config input in
-      Printf.printf "%-24s : %8d io  %6.2fs  %s
-" label nx.io nx.seconds nx.detail)
-    [ ("fused (default)", true); ("materialised root run", false) ];
-  subnote "(fusion saves writing and re-reading the root run: up to two document passes)"
 
 (* ------------------------------------------------------------------ *)
 (* A-runs: run-formation ablation (replacement selection) *)
@@ -658,50 +627,14 @@ let ingest () =
 
 (* ------------------------------------------------------------------ *)
 (* P-sweep: frame replacement policies — identical output, different
-   paging.  This is a CI gate (scripts/check.sh runs it): any policy
-   producing a different output digest is a correctness bug in the frame
-   arena, so the experiment exits non-zero on a mismatch. *)
+   paging.  The index B-tree's buffer pool of the indexed merge is the one
+   paged component, so it is what the sweep runs.  This is a CI gate
+   (scripts/check.sh runs it): any policy producing a different output
+   digest is a correctness bug in the frame arena, so the experiment
+   exits non-zero on a mismatch. *)
 
 let policy_sweep () =
   heading "P-sweep / replacement policies: byte-identical output, different paging";
-  let mismatches = ref 0 in
-  let check_digests label runs =
-    match runs with
-    | [] -> ()
-    | (_, reference, _) :: _ ->
-        List.iter
-          (fun (p, digest, detail) ->
-            let ok = String.equal digest reference in
-            if not ok then incr mismatches;
-            Printf.printf "  %-8s %-5s : md5=%s  %s\n"
-              (Extmem.Frame_arena.policy_to_string p)
-              (if ok then "OK" else "DIFF")
-              digest detail)
-          runs;
-        if List.for_all (fun (_, d, _) -> String.equal d reference) runs then
-          subnote "  %s: all policies byte-identical" label
-  in
-  (* nexsort: the session arena's stacks and sort leases run under every
-     policy; the sorted document must not depend on replacement order *)
-  let doc, stats = fig5_doc () in
-  subnote "nexsort input: %d elements; block size 1 KiB, memory 16 blocks"
-    stats.Xmlgen.Gen.elements;
-  let nx_runs =
-    List.map
-      (fun p ->
-        let config = Config.make ~block_size:1024 ~memory_blocks:16 ~pager_policy:p () in
-        let input = with_block_size 1024 doc in
-        let nx_out = Extmem.Device.in_memory ~name:"out" ~block_size:1024 () in
-        let report = Nexsort.sort_device ~config ~ordering ~input ~output:nx_out () in
-        let digest = Digest.to_hex (Digest.string (Extmem.Device.contents nx_out)) in
-        ( p,
-          digest,
-          Printf.sprintf "io=%d" (Extmem.Io_stats.total report.Nexsort.total_io) ))
-      Extmem.Frame_arena.all_policies
-  in
-  check_digests "nexsort" nx_runs;
-  (* indexed merge: the index B-tree's buffer pool is where the policies
-     actually diverge — same merged output, different hit/miss counters *)
   (* sized so the index outgrows its 8-frame pool and the policies
      actually have to evict (and so diverge in their counters) *)
   let employees = if !quick then 48 else 96 in
@@ -710,7 +643,7 @@ let policy_sweep () =
       ~employees_per_branch:employees ()
   in
   subnote "indexed merge: company pair, %d employees/branch, 8-frame index pool" employees;
-  let im_runs =
+  let runs =
     List.map
       (fun p ->
         let out, r =
@@ -724,9 +657,19 @@ let policy_sweep () =
             r.Xmerge.Indexed_merge.pager_evictions r.Xmerge.Indexed_merge.pager_writebacks ))
       Extmem.Frame_arena.all_policies
   in
-  check_digests "indexed merge" im_runs;
-  if !mismatches > 0 then begin
-    Printf.eprintf "policy-sweep: %d run(s) diverged from the reference digest\n" !mismatches;
+  let reference = match runs with (_, d, _) :: _ -> d | [] -> "" in
+  let mismatches = List.filter (fun (_, d, _) -> not (String.equal d reference)) runs in
+  List.iter
+    (fun (p, digest, detail) ->
+      Printf.printf "  %-8s %-5s : md5=%s  %s\n"
+        (Extmem.Frame_arena.policy_to_string p)
+        (if String.equal digest reference then "OK" else "DIFF")
+        digest detail)
+    runs;
+  if mismatches = [] then subnote "  indexed merge: all policies byte-identical"
+  else begin
+    Printf.eprintf "policy-sweep: %d run(s) diverged from the reference digest\n"
+      (List.length mismatches);
     exit 1
   end
 
@@ -1081,7 +1024,6 @@ let experiments =
     ("threshold", threshold);
     ("model", model);
     ("ablate-degen", ablate_degen);
-    ("ablate-fusion", ablate_fusion);
     ("ablate-runs", ablate_runs);
     ("motivation", motivation);
     ("xsort", xsort);
@@ -1102,9 +1044,6 @@ let () =
     | "--cost" :: rest ->
         cost := true;
         parse rest
-    | "--no-fuse" :: rest ->
-        no_fuse := true;
-        parse rest
     | "--metrics" :: file :: rest ->
         metrics_file := Some file;
         parse rest
@@ -1122,17 +1061,6 @@ let () =
         parse rest
     | "--trace" :: [] ->
         prerr_endline "--trace requires a file argument";
-        exit 2
-    | "--policy" :: name :: rest -> (
-        match Extmem.Frame_arena.policy_of_string name with
-        | Some p ->
-            policy := p;
-            parse rest
-        | None ->
-            Printf.eprintf "--policy: unknown policy %S (lru, clock, mru, stack)\n" name;
-            exit 2)
-    | "--policy" :: [] ->
-        prerr_endline "--policy requires a policy argument";
         exit 2
     | "--" :: rest -> parse rest
     | a :: rest -> a :: parse rest

@@ -30,30 +30,6 @@ let ordering_term =
     & opt (conv (parse, pp)) (Nexsort.Ordering.by_attr "id")
     & info [ "ordering"; "O" ] ~docv:"SPEC" ~doc)
 
-let policy_term =
-  let policies =
-    List.map
-      (fun p -> (Extmem.Frame_arena.policy_to_string p, p))
-      Extmem.Frame_arena.all_policies
-  in
-  Arg.(
-    value
-    & opt (Arg.enum policies) Extmem.Frame_arena.Lru
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          "Frame replacement policy for paged components: $(b,lru), $(b,clock), $(b,mru) or \
-           $(b,stack) (the paper's no-prefetch stack pager).  Sorted output is identical under \
-           every policy; only paging counters move.")
-
-let no_fuse_term =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ]
-        ~doc:
-          "Disable pipeline fusion across phase boundaries: materialise the root's sorted run \
-           (and, for merges, each sorted document) instead of streaming it straight into the \
-           next phase.")
-
 let config_term =
   let block_size =
     Arg.(
@@ -87,14 +63,12 @@ let config_term =
   let keep_whitespace =
     Arg.(value & flag & info [ "keep-whitespace" ] ~doc:"Preserve whitespace-only text nodes.")
   in
-  let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace no_fuse
-      pager_policy =
+  let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace =
     (* Config.make rejects inconsistent sizes; surface that as a clean
        one-line CLI error instead of an uncaught exception *)
     match
       Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
-        ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ~keep_whitespace
-        ~pager_policy ()
+        ~degeneration:(not no_degeneration) ~keep_whitespace ()
     with
     | config -> Ok config
     | exception Invalid_argument msg -> Error msg
@@ -102,7 +76,7 @@ let config_term =
   Term.term_result'
     Term.(
       const build $ block_size $ memory_blocks $ threshold $ depth_limit $ no_degeneration
-      $ keep_whitespace $ no_fuse_term $ policy_term)
+      $ keep_whitespace)
 
 let device_term =
   let parse s =

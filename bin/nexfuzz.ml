@@ -1,8 +1,8 @@
 (* nexfuzz: oracle-backed differential fuzzing of the XML sorters.
 
    Each differential case generates a pathological document, sorts it with
-   NEXSORT and the baselines across a sampled config matrix (block size,
-   memory budget, replacement policy, fusion, depth limit, device spec), and
+   NEXSORT and the baselines across a sampled config matrix (ordering,
+   block size, memory budget, depth limit, device spec), and
    demands byte-identical agreement with the in-memory reference oracle
    plus a pass through the independent streaming validator and the
    resource-invariant probes.
@@ -20,8 +20,6 @@
 open Cmdliner
 module Ordering = Nexsort.Ordering
 
-let policies = [| Extmem.Frame_arena.Lru; Clock; Mru; Stack |]
-
 (* ------------------------------------------------------------------ *)
 (* Config matrix *)
 
@@ -37,28 +35,17 @@ let orderings =
 
 let differential_config ~seed i =
   let rng = Xmlgen.Splitmix.create (seed + (7919 * i)) in
-  let policy = policies.(i mod 4) in
-  let fuse = i / 4 mod 2 = 0 in
   let ordering_spec = orderings.(i mod Array.length orderings) in
   let ordering = Ordering.of_spec_string ordering_spec in
   let block_size = [| 512; 1024; 4096 |].(Xmlgen.Splitmix.int rng 3) in
   let memory_blocks = [| 8; 16; 64 |].(Xmlgen.Splitmix.int rng 3) in
   let depth_limit = if i mod 7 = 5 then Some 2 else None in
-  (* decorrelated from the fusion pick: [fuse] (i / 4 mod 2) holds for
-     runs of four cases, longer than the device period (i mod 3), so every
-     (device, fuse) combination appears within one 8-case fusion cycle *)
   let device =
     if i mod 3 = 0 then Extmem.Device_spec.parse "traced/mem" else Extmem.Device_spec.default
   in
-  let config =
-    Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ~device
-      ~pager_policy:policy ()
-  in
+  let config = Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~device () in
   let cli_flags =
-    Printf.sprintf "-O '%s' -B %d -M %d --policy %s%s%s%s" ordering_spec
-      block_size memory_blocks
-      (Extmem.Frame_arena.policy_to_string policy)
-      (if fuse then "" else " --no-fuse")
+    Printf.sprintf "-O '%s' -B %d -M %d%s%s" ordering_spec block_size memory_blocks
       (match depth_limit with None -> "" | Some d -> Printf.sprintf " -d %d" d)
       (if i mod 3 = 0 then " --device traced/mem" else "")
   in
@@ -218,6 +205,53 @@ let nth_fault_layer ~op ~n =
 
 type fault_outcome = Completed | Aborted
 
+(* Fault case [j]'s schedule and config.  [Internal] injects seeded
+   random faults on the sorter's internal devices, which the CLI
+   expresses as a --device spec; the endpoint schedules (fail the Nth
+   output write or input read, tear the Nth output block) only the
+   nexfuzz reproducer replays, so the failure report names them. *)
+type fault_schedule =
+  | Internal
+  | Fail_nth of Extmem.Backend.op * int  (* Write: the output; Read: the input *)
+  | Torn of { n : int; offset : int }
+
+let describe_schedule = function
+  | Internal ->
+      "seeded random faults on the internal devices (nexsort --device also layers them on \
+       the endpoints)"
+  | Fail_nth (Extmem.Backend.Write, n) -> Printf.sprintf "fail output write %d" n
+  | Fail_nth (Extmem.Backend.Read, n) -> Printf.sprintf "fail input read %d" n
+  | Torn { n; offset } -> Printf.sprintf "tear output write %d at byte %d" n offset
+
+let fault_config ~seed j =
+  let ordering_spec = "@id" in
+  let block_size = 512 and memory_blocks = 16 in
+  let device_spec = Printf.sprintf "faulty:p=0.02,seed=%d/mem" (seed + j) in
+  let schedule =
+    match j mod 3 with
+    | 0 -> Internal
+    | 1 ->
+        (* odd cases fail an output write, even cases an input read *)
+        let op = if j / 6 mod 2 = 0 then Extmem.Backend.Write else Extmem.Backend.Read in
+        Fail_nth (op, 1 + (j / 3 mod 12))
+    | _ -> Torn { n = 1 + (j / 3 mod 10); offset = j * 37 mod block_size }
+  in
+  let internal = schedule = Internal in
+  let device =
+    if internal then Extmem.Device_spec.parse device_spec else Extmem.Device_spec.default
+  in
+  let cc =
+    {
+      ordering_spec;
+      ordering = Ordering.of_spec_string ordering_spec;
+      config = Nexsort.Config.make ~block_size ~memory_blocks ~device ();
+      cli_flags =
+        Printf.sprintf "-O '%s' -B %d -M %d%s" ordering_spec block_size memory_blocks
+          (if internal then " --device " ^ device_spec else "");
+    }
+  in
+  (cc, schedule)
+
 (* A fault case either completes (the schedule never fired) with oracle-
    validated output, or aborts with the typed fault; anything else — a
    different exception, a leaked budget block, bad output — fails. *)
@@ -226,20 +260,8 @@ let run_fault_case ~seed j =
   let doc, _ =
     Xmlgen.Gen.to_string (Xmlgen.Gen.pathological ~seed:doc_seed ~max_elements:250)
   in
-  let ordering = Ordering.by_attr "id" in
-  let policy = policies.(j mod 4) in
-  let fuse = j / 4 mod 2 = 0 in
-  let block_size = 512 in
-  let kind = j mod 3 in
-  let device =
-    if kind = 0 then
-      Extmem.Device_spec.parse (Printf.sprintf "faulty:p=0.02,seed=%d/mem" (seed + j))
-    else Extmem.Device_spec.default
-  in
-  let config =
-    Nexsort.Config.make ~block_size ~memory_blocks:16 ~root_fusion:fuse ~device
-      ~pager_policy:policy ()
-  in
+  let { ordering; config; _ }, schedule = fault_config ~seed j in
+  let block_size = config.Nexsort.Config.block_size in
   let ( >>= ) r f = Result.bind r f in
   Verify.Probes.clear ();
   let sort_endpoints ~prep =
@@ -253,25 +275,16 @@ let run_fault_case ~seed j =
     | exception Extmem.Device.Fault _ -> Ok (Aborted, None)
   in
   let outcome =
-    match kind with
-    | 0 -> (
-        (* seeded random faults on the sorter's internal devices *)
+    match schedule with
+    | Internal -> (
         match Nexsort.sort_string ~config ~ordering doc with
         | out, _ -> Ok (Completed, Some out)
         | exception Extmem.Device.Fault _ -> Ok (Aborted, None))
-    | 1 ->
-        (* fail the Nth endpoint I/O: odd cases the output write, even
-           cases the input read *)
-        let n = 1 + (j / 3 mod 12) in
-        let op = if j / 6 mod 2 = 0 then Extmem.Backend.Write else Extmem.Backend.Read in
+    | Fail_nth (op, n) ->
         sort_endpoints ~prep:(fun ~input ~output ->
-            match op with
-            | Extmem.Backend.Write ->
-                Extmem.Device.push_layer output (nth_fault_layer ~op ~n)
-            | Extmem.Backend.Read -> Extmem.Device.push_layer input (nth_fault_layer ~op ~n))
-    | _ ->
-        let n = 1 + (j / 3 mod 10) in
-        let offset = j * 37 mod block_size in
+            let dev = match op with Extmem.Backend.Write -> output | Extmem.Backend.Read -> input in
+            Extmem.Device.push_layer dev (nth_fault_layer ~op ~n))
+    | Torn { n; offset } ->
         sort_endpoints ~prep:(fun ~input:_ ~output ->
             Extmem.Device.push_layer output (torn_layer ~n ~offset))
   in
@@ -301,7 +314,6 @@ let run_update_case ~seed j =
   let rng = Xmlgen.Splitmix.create case_seed in
   let base, _ = Xmlgen.Gen.to_string (Xmlgen.Gen.pathological ~seed:case_seed ~max_elements:120) in
   let ordering = Ordering.by_attr "id" in
-  let policy = policies.(j mod 4) in
   let kind = j mod 3 in
   let device =
     if kind = 0 then
@@ -313,9 +325,7 @@ let run_update_case ~seed j =
   (* kind 2 starves the queue's insert tier so flushes ride on spilled
      runs (and compactions) instead of the in-memory heap *)
   let memory_blocks = if kind = 2 then 8 else 16 in
-  let config =
-    Nexsort.Config.make ~block_size:512 ~memory_blocks ~device ~pager_policy:policy ()
-  in
+  let config = Nexsort.Config.make ~block_size:512 ~memory_blocks ~device () in
   let root, tops =
     match Xmlio.Tree.of_string base with
     | Xmlio.Tree.Element e ->
@@ -502,11 +512,12 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
 (* ------------------------------------------------------------------ *)
 (* Driver *)
 
-let print_failure ~seed ~kind ~case ~cli_flags ~doc msg =
+let print_failure ?schedule ~seed ~kind ~case ~cli_flags ~doc msg =
   Printf.eprintf "FAIL %s case %d: %s\n" kind case msg;
   Printf.eprintf "  reproduce: nexfuzz --seed %d --only %d%s\n" seed case
     (if kind = "fault" then " --faults-only" else "");
   Printf.eprintf "  equivalent: nexsort %s <doc.xml>\n" cli_flags;
+  Option.iter (Printf.eprintf "  fault schedule: %s\n") schedule;
   Printf.eprintf "  document (%d bytes):\n%s\n" (String.length doc) doc
 
 let run smoke seed cases fault_cases update_cases only faults_only updates_only tenants verbose =
@@ -554,10 +565,8 @@ let run smoke seed cases fault_cases update_cases only faults_only updates_only 
           Xmlgen.Gen.to_string
             (Xmlgen.Gen.pathological ~seed:(seed + 104729 + (31 * j)) ~max_elements:250)
         in
-        print_failure ~seed ~kind:"fault" ~case:j
-          ~cli_flags:
-            ("--policy " ^ Extmem.Frame_arena.policy_to_string policies.(j mod 4))
-          ~doc msg
+        let cc, schedule = fault_config ~seed j in
+        print_failure ~schedule:(describe_schedule schedule) ~seed ~kind:"fault" ~case:j ~cli_flags:cc.cli_flags ~doc msg
   in
   let updates_aborted = ref 0 in
   let updates_completed = ref 0 in
@@ -603,9 +612,8 @@ let run smoke seed cases fault_cases update_cases only faults_only updates_only 
           Printf.printf "differential: %d cases through one engine across %d tenants\n" cases
             tenants
         else
-          Printf.printf
-            "differential: %d cases across %d policies x fuse/no-fuse x %d orderings\n" cases
-            (Array.length policies) (Array.length orderings);
+          Printf.printf "differential: %d cases across %d orderings\n" cases
+            (Array.length orderings);
       if not updates_only then
         Printf.printf "fault schedules: %d cases (%d aborted cleanly, %d completed validated)\n"
           fault_cases !faulted !completed;
@@ -624,8 +632,8 @@ let smoke_term =
     value & flag
     & info [ "smoke" ]
         ~doc:
-          "Run the fixed-seed smoke configuration (seed 42, 50 differential + 24 fault cases) \
-           regardless of other options — the configuration wired into the test suite.")
+          "Run the fixed-seed smoke configuration (seed 42, 50 differential + 24 fault + 16 \
+           update-ingest cases) regardless of other options — the configuration wired into the test suite.")
 
 let seed_term =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Base seed for documents and configs.")

@@ -42,7 +42,6 @@ type merge_req = {
   mr_ordering : Nexsort.Ordering.t;
   mr_device : Extmem.Device_spec.t option;
   mr_metrics : string option;
-  mr_no_fuse : bool;
   mr_tenant : string;
   mr_left : string;
   mr_right : string;
@@ -111,7 +110,7 @@ let sort_cmd =
        $ output_term))
 
 let merge_cmd =
-  let build config ordering device metrics no_fuse tenant left right output =
+  let build config ordering device metrics tenant left right output =
     `Ok
       (Merge
          {
@@ -119,7 +118,6 @@ let merge_cmd =
            mr_ordering = ordering;
            mr_device = device;
            mr_metrics = metrics;
-           mr_no_fuse = no_fuse;
            mr_tenant = tenant;
            mr_left = left;
            mr_right = right;
@@ -130,8 +128,7 @@ let merge_cmd =
     Term.(
       ret
         (const build $ Cli_common.config_term $ Cli_common.ordering_term
-       $ Cli_common.device_term $ Cli_common.metrics_term $ Cli_common.no_fuse_term
-       $ tenant_term
+       $ Cli_common.device_term $ Cli_common.metrics_term $ tenant_term
        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"LEFT")
        $ Arg.(required & pos 1 (some string) None & info [] ~docv:"RIGHT")
        $ output_term))
@@ -264,8 +261,8 @@ let run_merge engine merge_lock cancel (r : merge_req) =
             raise e
         in
         let report =
-          Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not r.mr_no_fuse)
-            ~sessions:(sl, sr) ~ordering:r.mr_ordering ~left:ldev ~right:rdev ~output:odev ()
+          Xmerge.Struct_merge.sort_and_merge_devices ~config ~sessions:(sl, sr)
+            ~ordering:r.mr_ordering ~left:ldev ~right:rdev ~output:odev ()
         in
         (report, Engine.job_json engine jl))
   in

@@ -26,6 +26,24 @@ let ordering_term =
     & info [ "ordering"; "O" ] ~docv:"SPEC"
         ~doc:"Ordering specification (see $(b,nexsort --help)); must be scan-evaluable.")
 
+(* The replacement policy of the index B-tree's buffer pool, the only
+   paged component, so --policy exists only with --indexed. *)
+let policy_term =
+  let policies =
+    List.map
+      (fun p -> (Extmem.Frame_arena.policy_to_string p, p))
+      Extmem.Frame_arena.all_policies
+  in
+  Arg.(
+    value
+    & opt (some (enum policies)) None
+    & info [ "policy" ] ~docv:"POLICY"
+        ~doc:
+          "With $(b,--indexed): frame replacement policy of the index's buffer pool, \
+           $(b,lru) (the default), $(b,clock), $(b,mru) or $(b,stack) (the paper's \
+           no-prefetch stack pager).  The merged output is identical under every policy; \
+           only the pager counters move.")
+
 let struct_merge_report ~tool (r : Xmerge.Struct_merge.report) =
   let rep = Obs.Report.create ~tool in
   Obs.Report.add rep "counts"
@@ -118,8 +136,8 @@ let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output
         (List.length flushes) output;
       finish (`Ok ()))
 
-let run ordering presorted update_mode ingest_mode flush_every indexed policy device no_fuse
-    metrics trace left_path right_paths output =
+let run ordering presorted update_mode ingest_mode flush_every indexed policy device metrics
+    trace left_path right_paths output =
   match Cli_common.prepare_trace trace with
   | Error msg -> `Error (false, msg)
   | Ok tracer ->
@@ -131,11 +149,12 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     let left = read_file left_path in
     let right = match right_paths with r :: _ -> read_file r | [] -> "" in
     match device with
+    | _ when policy <> None && not indexed -> `Error (false, "--policy requires --indexed")
     | _ when ingest_mode && (update_mode || indexed || presorted) ->
         `Error (false, "--ingest does not compose with --update/--indexed/--presorted")
     | _ when flush_every < 1 -> `Error (false, "--flush-every must be >= 1")
     | _ when ingest_mode ->
-        let config = Nexsort.Config.make ?device ~pager_policy:policy ~tracer () in
+        let config = Nexsort.Config.make ?device ~tracer () in
         run_ingest ~ordering ~config ~metrics ~finish left right_paths flush_every output
     | _ when List.length right_paths <> 1 ->
         `Error (false, "expected exactly one RIGHT document (or pass --ingest)")
@@ -155,7 +174,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         let ldev = load "left" left and rdev = load "right" right in
         let odev = Extmem.Device_spec.scratch spec ~name:"output" ~block_size in
         let r =
-          Xmerge.Indexed_merge.merge_devices ~policy ~ordering ~left:ldev ~right:rdev ~output:odev
+          Xmerge.Indexed_merge.merge_devices ?policy ~ordering ~left:ldev ~right:rdev ~output:odev
             ()
         in
         write_file output (Extmem.Device.contents odev);
@@ -196,8 +215,8 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     | Some spec ->
         (* Device-resident path: the raw inputs live on spec-built devices
            and the sorts + single-pass merge run on top, so the chosen
-           stack carries the whole job's I/O.  Fused (the default), the
-           sorted documents are never materialised on the devices. *)
+           stack carries the whole job's I/O.  The sorted documents are
+           never materialised on the devices. *)
         let block_size = 4096 in
         let config = Nexsort.Config.make ~block_size ~device:spec ~tracer () in
         let load name s =
@@ -212,7 +231,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
             Xmerge.Struct_merge.merge_devices ~ordering ~left:ldev ~right:rdev ~output:odev ()
           else
             with_merge_sessions ~config (fun sessions ->
-                Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not no_fuse) ~sessions
+                Xmerge.Struct_merge.sort_and_merge_devices ~config ~sessions
                   ~ordering ~left:ldev ~right:rdev ~output:odev ())
         in
         write_file output (Extmem.Device.contents odev);
@@ -261,9 +280,6 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
       else begin
         let out, r =
           if presorted then Xmerge.Struct_merge.merge_strings ~ordering left right
-          else if no_fuse then
-            (* unfused strings sort in memory — no sessions to carve *)
-            Xmerge.Struct_merge.sort_and_merge_strings ~config ~fuse:false ~ordering left right
           else
             with_merge_sessions ~config (fun sessions ->
                 Xmerge.Struct_merge.sort_and_merge_strings ~config ~sessions ~ordering left
@@ -326,9 +342,8 @@ let cmd =
                 ~doc:
                   "Use the index-assisted nested-loop merge instead of sort-then-merge (works on \
                    unsorted inputs; reports the index buffer pool's hit/miss statistics).")
-        $ Cli_common.policy_term
+        $ policy_term
         $ Cli_common.device_term
-        $ Cli_common.no_fuse_term
         $ Cli_common.metrics_term
         $ Cli_common.trace_term
         $ Arg.(required & pos 0 (some file) None & info [] ~docv:"LEFT")

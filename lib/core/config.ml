@@ -4,19 +4,17 @@ type t = {
   threshold : int;
   depth_limit : int option;
   degeneration : bool;
-  root_fusion : bool;
   data_stack_blocks : int;
-  path_stack_blocks : int;
   keep_whitespace : bool;
   device : Extmem.Device_spec.t;
-  pager_policy : Extmem.Pager.policy;
   tracer : Obs.Tracer.t;
 }
 
+let path_stack_blocks = 2
+
 let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(degeneration = true)
-    ?(root_fusion = true) ?data_stack_blocks ?(path_stack_blocks = 2)
     ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default)
-    ?(pager_policy = Extmem.Pager.Lru) ?(tracer = Obs.Tracer.null) () =
+    ?(tracer = Obs.Tracer.null) () =
   let threshold = Option.value threshold ~default:(2 * block_size) in
   (* The data stack oscillates: entries accumulate until a subtree reaches
      the threshold and is truncated away.  A window that covers twice the
@@ -25,12 +23,9 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
      the fixed buffers (input, path window, output-location window) and a
      minimal 3-block sort arena. *)
   let data_stack_blocks =
-    match data_stack_blocks with
-    | Some d -> d
-    | None ->
-        let fixed = 1 + path_stack_blocks + 1 in
-        let want = max (2 * threshold / block_size) ((memory_blocks - fixed) / 3) in
-        max 1 (min want (memory_blocks - fixed - 3))
+    let fixed = 1 + path_stack_blocks + 1 in
+    let want = max (2 * threshold / block_size) ((memory_blocks - fixed) / 3) in
+    max 1 (min want (memory_blocks - fixed - 3))
   in
   if block_size < 64 then invalid_arg "Config: block_size must be at least 64 bytes";
   if memory_blocks < 8 then invalid_arg "Config: memory_blocks must be at least 8";
@@ -39,20 +34,15 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
   (match depth_limit with
   | Some d when d < 1 -> invalid_arg "Config: depth_limit must be >= 1"
   | Some _ | None -> ());
-  if data_stack_blocks < 1 then invalid_arg "Config: data_stack_blocks must be >= 1";
-  if path_stack_blocks < 2 then invalid_arg "Config: path_stack_blocks must be >= 2";
   {
     block_size;
     memory_blocks;
     threshold;
     depth_limit;
     degeneration;
-    root_fusion;
     data_stack_blocks;
-    path_stack_blocks;
     keep_whitespace;
     device;
-    pager_policy;
     tracer;
   }
 
@@ -100,10 +90,9 @@ let memory_bytes t = t.block_size * t.memory_blocks
 
 let pp ppf t =
   Format.fprintf ppf
-    "{B=%dB; M=%d blocks (%d KiB); t=%dB; depth_limit=%s; degeneration=%b; fusion=%b; policy=%s}"
+    "{B=%dB; M=%d blocks (%d KiB); t=%dB; depth_limit=%s; degeneration=%b}"
     t.block_size t.memory_blocks
     (memory_bytes t / 1024)
     t.threshold
     (match t.depth_limit with Some d -> string_of_int d | None -> "none")
-    t.degeneration t.root_fusion
-    (Extmem.Frame_arena.policy_to_string t.pager_policy)
+    t.degeneration

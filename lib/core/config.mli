@@ -18,23 +18,13 @@ type t = {
       (** create incomplete sorted runs when an unfinished subtree fills
           memory, making flat inputs cost the same passes as external
           merge sort *)
-  root_fusion : bool;
-      (** stream the final (root) subtree sort straight into the output
-          phase instead of materialising the root run and re-reading it —
-          saves two passes over the document *)
-  data_stack_blocks : int;  (** resident window of the data stack (>= 1) *)
-  path_stack_blocks : int;  (** resident window of the path stack (>= 2
-                                per the paper's analysis) *)
+  data_stack_blocks : int;
+      (** resident window of the data stack, derived from [B], [M] and
+          [t] (see {!make}) *)
   keep_whitespace : bool;   (** preserve whitespace-only text nodes *)
   device : Extmem.Device_spec.t;
       (** device stack for the sort's internal devices (stacks, runs,
           scratch): backend plus middleware layers; see {!Extmem.Device_spec} *)
-  pager_policy : Extmem.Pager.policy;
-      (** default replacement policy for frame-arena caches attached
-          during the sort (NEXSORT's own streaming path holds no cache,
-          so this mainly steers auxiliary structures like the indexed
-          merge's B-tree pager); the data stack always pages under the
-          paper's no-prefetch stack rule *)
   tracer : Obs.Tracer.t;
       (** event-trace sink for the session ({!Obs.Tracer.null} = tracing
           off, the default).  When enabled, every scratch device gets a
@@ -49,24 +39,23 @@ val make :
   ?threshold:int ->
   ?depth_limit:int ->
   ?degeneration:bool ->
-  ?root_fusion:bool ->
-  ?data_stack_blocks:int ->
-  ?path_stack_blocks:int ->
   ?keep_whitespace:bool ->
   ?device:Extmem.Device_spec.t ->
-  ?pager_policy:Extmem.Pager.policy ->
   ?tracer:Obs.Tracer.t ->
   unit ->
   t
 (** Defaults: 4 KiB blocks, 64 memory blocks, threshold [2 * block_size],
-    no depth limit, degeneration and root fusion on, 2 path-stack resident
-    blocks, whitespace dropped.  The data-stack window
-    defaults to covering twice the threshold (so the stack's oscillation
+    no depth limit, degeneration on, whitespace dropped.  The data-stack
+    window covers twice the threshold (so the stack's oscillation
     between subtree collapses stays resident), clamped so the fixed
     buffers and a 3-block sort arena still fit the memory budget.
-    @raise Invalid_argument on inconsistent values (non-positive sizes,
-    [memory_blocks < 8], threshold smaller than one block, windows too
-    small). *)
+    @raise Invalid_argument on inconsistent values ([block_size < 64],
+    [memory_blocks < 8], threshold smaller than one block, depth limit
+    below 1). *)
+
+val path_stack_blocks : int
+(** Resident window of the path stack: 2 blocks, the minimum the
+    paper's stack-paging analysis assumes. *)
 
 val memory_bytes : t -> int
 

@@ -46,9 +46,7 @@ let create ?budget ?(poll = ignore) (config : Config.t) =
         Extmem.Memory_budget.create ~blocks:config.Config.memory_blocks
           ~block_size:config.Config.block_size
   in
-  let arena =
-    Extmem.Frame_arena.create ~budget ~default_policy:config.Config.pager_policy ()
-  in
+  let arena = Extmem.Frame_arena.create ~budget () in
   let tracer = config.Config.tracer in
   if Obs.Tracer.enabled tracer then
     Extmem.Frame_arena.set_observer arena (fun ~who ev _block ->
@@ -74,7 +72,7 @@ let create ?budget ?(poll = ignore) (config : Config.t) =
           (stack_dev "data-stack");
       path_stack =
         Extmem.Ext_stack.create ~name:"path stack"
-          ~resident_blocks:config.Config.path_stack_blocks ~arena (stack_dev "path-stack");
+          ~resident_blocks:Config.path_stack_blocks ~arena (stack_dev "path-stack");
       out_stack =
         Extmem.Ext_stack.create ~name:"output location stack" ~resident_blocks:1 ~arena
           (stack_dev "output-location-stack");

@@ -21,8 +21,7 @@ type t = {
           block-holding component (stack windows, stream buffers, sort
           leases, pager caches) draws its frames here under a [who]
           label, so budget exhaustion and the metrics report name the
-          owners; its default replacement policy follows
-          [config.pager_policy] *)
+          owners *)
   dict : Xmlio.Dict.t;
   data_stack : Extmem.Ext_stack.t;
   path_stack : Extmem.Ext_stack.t;

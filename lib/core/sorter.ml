@@ -101,10 +101,9 @@ type state = {
   mutable n_external : int;
   mutable n_fragment_runs : int;
   mutable n_fragment_merges : int;
-  (* root fusion: when [fuse], the root's collapse opens its final
-     sort/merge as a pull stream here instead of materialising the root
-     run; the output phase consumes it *)
-  fuse : bool;
+  (* root fusion: the root's collapse opens its final sort/merge as a
+     pull stream here instead of materialising the root run; the output
+     phase consumes it *)
   mutable root : ((unit -> string option) * (unit -> unit)) option;
   spans : Obs.Spans.t;
   gc0 : Gc.stat;  (* GC counters when the sort opened (quick_stat) *)
@@ -366,31 +365,29 @@ let on_end st =
     | Some k -> k
     | None -> Option.value key_end ~default:Key.Null
   in
-  if st.fuse && frame.flevel = 1 then st.root <- Some (open_root_source st frame)
+  if frame.flevel = 1 then st.root <- Some (open_root_source st frame)
   else begin
-      if frame.frags <> [] then collapse_fragments st frame resolved_key
-      else begin
-        push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
-        let size = Extmem.Ext_stack.length st.session.Session.data_stack - frame.loc in
-        let is_root = frame.flevel = 1 in
-        let depth_ok =
-          match depth_limit st with
-          | None -> true
-          | Some d -> frame.flevel <= d + 1
-        in
-        let threshold = st.session.Session.config.Config.threshold in
-        let at_limit =
-          match depth_limit st with
-          | Some d -> frame.flevel = d + 1
-          | None -> false
-        in
-        if (size >= threshold || is_root) && depth_ok then
-          if at_limit && not is_root then collapse_copy st frame resolved_key
-          else collapse st frame resolved_key
-      end;
-      (* the parent's children region just grew (run pointer or uncollapsed
-         subtree): it may now fill the arena *)
-      maybe_degenerate st
+    if frame.frags <> [] then collapse_fragments st frame resolved_key
+    else begin
+      push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
+      let size = Extmem.Ext_stack.length st.session.Session.data_stack - frame.loc in
+      let depth_ok =
+        match depth_limit st with
+        | None -> true
+        | Some d -> frame.flevel <= d + 1
+      in
+      let threshold = st.session.Session.config.Config.threshold in
+      let at_limit =
+        match depth_limit st with
+        | Some d -> frame.flevel = d + 1
+        | None -> false
+      in
+      if size >= threshold && depth_ok then
+        if at_limit then collapse_copy st frame resolved_key else collapse st frame resolved_key
+    end;
+    (* the parent's children region just grew (run pointer or uncollapsed
+       subtree): it may now fill the arena *)
+    maybe_degenerate st
   end
 
 (* ---- output phase (Figure 4, lines 13-21) ---- *)
@@ -400,8 +397,7 @@ let on_end st =
    pointed run in place, driven by the external output-location stack;
    End events are synthesized from level transitions via the open-tag
    recovery stack of §3.2 — O(height) internal state.  This is the
-   generic transform behind both the fused and the materialised output
-   path, and behind {!stream_events}. *)
+   generic transform behind the output phase and {!stream_events}. *)
 let event_stream st entries =
   let session = st.session in
   let out_stack = session.Session.out_stack in
@@ -515,7 +511,6 @@ let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
       n_external = 0;
       n_fragment_runs = 0;
       n_fragment_merges = 0;
-      fuse = config.Config.root_fusion;
       root = None;
       spans;
       gc0 = Gc.quick_stat ();
@@ -542,27 +537,12 @@ let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
   assert (Extmem.Ext_stack.is_empty session.Session.path_stack);
   (* any blocks the data-stack window borrowed are idle now *)
   Session.reclaim session;
-  let entries =
-    match st.root with
-    | Some (pull, close) ->
-        (* root fusion: the root collapse opened its final merge as a
-           stream; the data stack is empty *)
-        assert (Extmem.Ext_stack.is_empty session.Session.data_stack);
-        { Pipe.pull; close }
-    | None ->
-        (* the data stack now holds the single run pointer of the root *)
-        let root_run =
-          match
-            Session.decode_entry session (Extmem.Ext_stack.pop session.Session.data_stack)
-          with
-          | Entry.Run_ptr { run; _ } -> run
-          | Entry.Start _ | Entry.End _ | Entry.Text _ ->
-              invalid_arg "Nexsort: internal error - root did not collapse"
-        in
-        assert (Extmem.Ext_stack.is_empty session.Session.data_stack);
-        Pipe.open_source ~spans ~budget:session.Session.budget
-          (Pipe.of_run ~who:"root run" session.Session.runs root_run)
-  in
+  (* root fusion: the root collapse opened its final merge as a stream
+     (the parser rejects a document without a root element); the data
+     stack is empty *)
+  assert (Extmem.Ext_stack.is_empty session.Session.data_stack);
+  let pull, close = Option.get st.root in
+  let entries = { Pipe.pull; close } in
   (st, entries)
 
 let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
@@ -734,12 +714,9 @@ let config_json (c : Config.t) =
       ("threshold", Int c.Config.threshold);
       ("depth_limit", (match c.Config.depth_limit with Some d -> Int d | None -> Null));
       ("degeneration", Bool c.Config.degeneration);
-      ("root_fusion", Bool c.Config.root_fusion);
       ("data_stack_blocks", Int c.Config.data_stack_blocks);
-      ("path_stack_blocks", Int c.Config.path_stack_blocks);
       ("keep_whitespace", Bool c.Config.keep_whitespace);
       ("device", Str (Extmem.Device_spec.to_string c.Config.device));
-      ("policy", Str (Extmem.Frame_arena.policy_to_string c.Config.pager_policy));
     ]
 
 let owner_stats_json (s : Extmem.Frame_arena.owner_stats) =

@@ -54,7 +54,6 @@ type event = Evict | Writeback
 
 type t = {
   budget : Memory_budget.t option;
-  arena_policy : policy;
   pool : (int, bytes list ref) Hashtbl.t; (* buffer size -> free buffers *)
   table : (string, owner) Hashtbl.t;
   lock : Mutex.t; (* guards [pool] and [table]; never held across budget calls *)
@@ -62,15 +61,13 @@ type t = {
       (* caches are single-domain, so firing without the lock is safe *)
 }
 
-let create ?budget ?(default_policy = Lru) () =
-  { budget; arena_policy = default_policy; pool = Hashtbl.create 4; table = Hashtbl.create 8;
-    lock = Mutex.create (); observer = None }
+let create ?budget () =
+  { budget; pool = Hashtbl.create 4; table = Hashtbl.create 8; lock = Mutex.create ();
+    observer = None }
 
 let set_observer t f = t.observer <- Some f
 
 let budget t = t.budget
-
-let default_policy t = t.arena_policy
 
 let owner_u t who =
   match Hashtbl.find_opt t.table who with
@@ -229,7 +226,7 @@ type cache = {
   mutable detached : bool;
 }
 
-let attach t ?(who = "pager") ?policy ~frames dev =
+let attach t ?(who = "pager") ?(policy = Lru) ~frames dev =
   if frames < 1 then invalid_arg "Frame_arena.attach: frames must be >= 1";
   reserve t ~who frames;
   let bs = Device.block_size dev in
@@ -241,7 +238,7 @@ let attach t ?(who = "pager") ?policy ~frames dev =
     c_owner = owner t who;
     c_who = who;
     dev;
-    c_policy = (match policy with Some p -> p | None -> t.arena_policy);
+    c_policy = policy;
     frames = Array.init frames mk;
     map = Hashtbl.create (2 * frames);
     tick = 0;

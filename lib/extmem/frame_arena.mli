@@ -48,14 +48,10 @@ val policy_of_string : string -> policy option
 
 (** {1 Arena} *)
 
-val create : ?budget:Memory_budget.t -> ?default_policy:policy -> unit -> t
-(** An arena drawing from [budget] (when given); [default_policy]
-    (default [Lru]) applies to caches attached without an explicit
-    policy. *)
+val create : ?budget:Memory_budget.t -> unit -> t
+(** An arena drawing from [budget] (when given). *)
 
 val budget : t -> Memory_budget.t option
-
-val default_policy : t -> policy
 
 (** Replacement traffic visible to an observer: a frame chosen as victim
     while holding a block ([Evict]), and a dirty frame flushed to its
@@ -118,8 +114,8 @@ type cache
 
 val attach : t -> ?who:string -> ?policy:policy -> frames:int -> Device.t -> cache
 (** [attach t ~frames dev] reserves [frames] frames under [who] (default
-    ["pager"]) and maps them onto [dev].  [policy] defaults to the
-    arena's {!default_policy}. *)
+    ["pager"]) and maps them onto [dev] under [policy] (default
+    [Lru]). *)
 
 val detach : cache -> unit
 (** Flush dirty frames, return the buffers to the pool and release the

@@ -27,7 +27,7 @@ val create : ?arena:Frame_arena.t -> ?who:string -> ?policy:policy -> frames:int
 (** [create ~frames dev] is a pool of [frames] (>= 1) block frames over
     [dev].  With [?arena] the frames are drawn from (and accounted to)
     that arena under [who] (default ["pager"]); the default policy is
-    then the arena's, otherwise {!Lru}. *)
+    {!Lru}. *)
 
 val device : t -> Device.t
 

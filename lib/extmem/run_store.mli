@@ -47,8 +47,7 @@ val open_run : ?buffer:bytes -> t -> id -> Block_reader.t
 val read_run : ?buffer:bytes -> t -> id -> unit -> string option
 (** Streaming open: a pull over the run's length-prefixed records, for
     feeding a run into a pipeline without re-materialising it.  The
-    reader holds one block of buffer; callers account for it (see
-    [Pipe.of_run]). *)
+    reader holds one block of buffer; callers account for it. *)
 
 val run_extent : t -> id -> Extent.t
 

@@ -1051,8 +1051,12 @@ module Report = struct
      v3: ingest tools emit an "ingest" section — a list of per-flush
      objects (batch sizes, queue counters, merge + I/O deltas).
      v4: sort reports dropped the per-worker section and the config's
-     worker count, with the domain-parallel subtree sort they described. *)
-  let schema_version = 5
+     worker count, with the domain-parallel subtree sort they described.
+     v5: the config echo dropped "encoding" (one entry format remains).
+     v6: the config echo dropped "root_fusion", "policy" and
+     "path_stack_blocks" (always fused, no session-wide policy, a fixed
+     2-block path window). *)
+  let schema_version = 6
 
   type t = {
     tool : string;

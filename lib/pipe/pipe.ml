@@ -36,9 +36,6 @@ let of_list ~who items =
       in
       (pull, ignore))
 
-let of_run ?(who = "run reader") store id =
-  source ~mem:1 ~who (fun () -> (Extmem.Run_store.read_run store id, ignore))
-
 let transform ?(mem = 0) ~who fn = { t_who = who; t_mem = mem; t_fn = fn }
 
 let map ~who f =

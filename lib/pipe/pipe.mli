@@ -49,10 +49,6 @@ val of_pull : ?mem:int -> who:string -> 'a pull -> 'a source
 
 val of_list : who:string -> 'a list -> 'a source
 
-val of_run : ?who:string -> Extmem.Run_store.t -> Extmem.Run_store.id -> string source
-(** Streaming read of a stored run ({!Extmem.Run_store.read_run});
-    declares the reader's one buffer block. *)
-
 val transform : ?mem:int -> who:string -> ('a pull -> 'b pull) -> ('a, 'b) transform
 (** A stage rewriting the upstream pull (state lives in the closure). *)
 

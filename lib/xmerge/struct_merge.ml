@@ -288,63 +288,39 @@ let merge_sorted_streams ?io ?sessions ~ordering ~config ~left ~right ~emit () =
         ~right:(fun () -> Nexsort.stream_events sr)
         ~emit ())
 
-let sort_and_merge_devices ?(config = Nexsort.Config.make ()) ?(fuse = true) ?sessions
-    ~ordering ~left ~right ~output () =
-  if fuse then begin
-    let bw = Extmem.Block_writer.create output in
-    let writer = Xmlio.Writer.to_block_writer bw in
-    let io () =
-      Extmem.Io_stats.add
-        (Extmem.Io_stats.add
-           (Extmem.Io_stats.snapshot (Extmem.Device.stats left))
-           (Extmem.Io_stats.snapshot (Extmem.Device.stats right)))
-        (Extmem.Io_stats.snapshot (Extmem.Device.stats output))
-    in
-    let report =
-      merge_sorted_streams ~io ?sessions ~ordering ~config ~left ~right
-        ~emit:(Xmlio.Writer.event writer) ()
-    in
-    Xmlio.Writer.close writer;
-    let extent = Extmem.Block_writer.close bw in
-    Extmem.Device.set_byte_length output extent.Extmem.Extent.bytes;
-    report
-  end
-  else begin
-    (* unfused: materialise both sorted documents on scratch devices,
-       then run the single-pass device merge *)
-    let sess_l, sess_r =
-      match sessions with Some (a, b) -> (Some a, Some b) | None -> (None, None)
-    in
-    let sorted name session input =
-      let d = Nexsort.Config.scratch_device config ~name in
-      ignore (Nexsort.sort_device ~config ?session ~ordering ~input ~output:d ());
-      d
-    in
-    let ldev = sorted "sorted-left" sess_l left in
-    let rdev = sorted "sorted-right" sess_r right in
-    merge_devices ~ordering ~left:ldev ~right:rdev ~output ()
-  end
+let sort_and_merge_devices ?(config = Nexsort.Config.make ()) ?sessions ~ordering ~left ~right
+    ~output () =
+  let bw = Extmem.Block_writer.create output in
+  let writer = Xmlio.Writer.to_block_writer bw in
+  let io () =
+    Extmem.Io_stats.add
+      (Extmem.Io_stats.add
+         (Extmem.Io_stats.snapshot (Extmem.Device.stats left))
+         (Extmem.Io_stats.snapshot (Extmem.Device.stats right)))
+      (Extmem.Io_stats.snapshot (Extmem.Device.stats output))
+  in
+  let report =
+    merge_sorted_streams ~io ?sessions ~ordering ~config ~left ~right
+      ~emit:(Xmlio.Writer.event writer) ()
+  in
+  Xmlio.Writer.close writer;
+  let extent = Extmem.Block_writer.close bw in
+  Extmem.Device.set_byte_length output extent.Extmem.Extent.bytes;
+  report
 
-let sort_and_merge_strings ?config ?(fuse = true) ?sessions ~ordering left right =
+let sort_and_merge_strings ?config ?sessions ~ordering left right =
   let config = Option.value config ~default:(Nexsort.Config.make ()) in
-  if fuse then begin
-    let load name s =
-      let d = Nexsort.Config.scratch_device config ~name in
-      Extmem.Device.load_string d s;
-      d
-    in
-    let left = load "left" left and right = load "right" right in
-    let buf = Buffer.create 1024 in
-    let writer = Xmlio.Writer.to_buffer buf in
-    let report =
-      merge_sorted_streams ?sessions ~ordering ~config ~left ~right
-        ~emit:(Xmlio.Writer.event writer) ()
-    in
-    Xmlio.Writer.close writer;
-    (Buffer.contents buf, report)
-  end
-  else begin
-    let sorted_l, _ = Nexsort.sort_string ~config ~ordering left in
-    let sorted_r, _ = Nexsort.sort_string ~config ~ordering right in
-    merge_strings ~ordering sorted_l sorted_r
-  end
+  let load name s =
+    let d = Nexsort.Config.scratch_device config ~name in
+    Extmem.Device.load_string d s;
+    d
+  in
+  let left = load "left" left and right = load "right" right in
+  let buf = Buffer.create 1024 in
+  let writer = Xmlio.Writer.to_buffer buf in
+  let report =
+    merge_sorted_streams ?sessions ~ordering ~config ~left ~right
+      ~emit:(Xmlio.Writer.event writer) ()
+  in
+  Xmlio.Writer.close writer;
+  (Buffer.contents buf, report)

@@ -425,64 +425,22 @@ let test_sort_malformed_input () =
     Alcotest.fail "expected parse error"
   with Xmlio.Parser.Error _ -> ()
 
-let test_sort_fusion_off_same_output () =
-  (* root fusion is a pure optimization: identical output, fewer I/Os *)
-  let xml = gen_doc 21 in
-  let with_fusion, rf =
-    Nexsort.sort_string
-      ~config:(Config.make ~block_size:128 ~memory_blocks:8 ~root_fusion:true ())
-      ~ordering:by_id xml
-  in
-  let without_fusion, rn =
-    Nexsort.sort_string
-      ~config:(Config.make ~block_size:128 ~memory_blocks:8 ~root_fusion:false ())
-      ~ordering:by_id xml
-  in
-  check Alcotest.string "same output" without_fusion with_fusion;
-  check Alcotest.bool "fusion does not cost I/O" true
-    (Extmem.Io_stats.total rf.Nexsort.total_io <= Extmem.Io_stats.total rn.Nexsort.total_io)
-
-let prop_fusion_identical =
-  (* fusion must be invisible in the output: for any generated document
-     and memory geometry, the fused and unfused paths produce
-     byte-identical sorted XML *)
-  QCheck.Test.make ~name:"fused and unfused outputs are byte-identical" ~count:20
-    QCheck.(pair (int_bound 1000) (int_range 8 16))
-    (fun (seed, memory_blocks) ->
-      let xml = gen_doc ~max_elements:200 seed in
-      let mk root_fusion = Config.make ~block_size:128 ~memory_blocks ~root_fusion () in
-      let fused, _ = Nexsort.sort_string ~config:(mk true) ~ordering:by_id xml in
-      let unfused, _ = Nexsort.sort_string ~config:(mk false) ~ordering:by_id xml in
-      String.equal fused unfused)
-
 let test_fusion_saves_exactly_root_run_io () =
   (* a threshold larger than the document makes the root the only subtree
-     sort — one big external sort.  Without fusion its result is
-     materialised as the root run and read straight back during output;
-     with fusion the final merge streams into the writer.  The saving is
-     therefore exactly one write plus one read of every root-run block. *)
+     sort — one big external sort.  Root fusion streams its final merge
+     straight into the writer, so the root run is never materialised:
+     the run store holds no block and costs no I/O at all *)
   let xml = gen_doc ~max_elements:300 33 in
-  let mk root_fusion =
-    Config.make ~block_size:128 ~memory_blocks:8 ~threshold:1_000_000 ~degeneration:false
-      ~root_fusion ()
+  let config =
+    Config.make ~block_size:128 ~memory_blocks:8 ~threshold:1_000_000 ~degeneration:false ()
   in
-  let fused, rf = Nexsort.sort_string ~config:(mk true) ~ordering:by_id xml in
-  let unfused, rn = Nexsort.sort_string ~config:(mk false) ~ordering:by_id xml in
-  check Alcotest.string "same output" unfused fused;
-  check Alcotest.int "root is the only subtree sort" 1 rn.Nexsort.subtree_sorts;
-  check Alcotest.int "and it ran externally" 1 rn.Nexsort.external_sorts;
-  let root_run_blocks = rn.Nexsort.run_blocks - rf.Nexsort.run_blocks in
-  check Alcotest.bool "root run materialised only without fusion" true (root_run_blocks > 0);
-  check Alcotest.int "no run store blocks at all when fused" 0 rf.Nexsort.run_blocks;
-  let runs_io (r : Nexsort.report) =
-    Extmem.Io_stats.total (List.assoc "runs" r.Nexsort.breakdown)
-  in
-  check Alcotest.int "fusing saves exactly 2 x root-run blocks of run-store I/O"
-    (2 * root_run_blocks)
-    (runs_io rn - runs_io rf);
-  check Alcotest.bool "and at least that much in total" true
-    (Extmem.Io_stats.total rn.Nexsort.total_io - Extmem.Io_stats.total rf.Nexsort.total_io
-     >= 2 * root_run_blocks)
+  let sorted, r = Nexsort.sort_string ~config ~ordering:by_id xml in
+  check Alcotest.bool "sorted" true (Baselines.Tree_sort.sorted by_id (parse sorted));
+  check Alcotest.int "root is the only subtree sort" 1 r.Nexsort.subtree_sorts;
+  check Alcotest.int "and it ran externally" 1 r.Nexsort.external_sorts;
+  check Alcotest.int "no run store blocks" 0 r.Nexsort.run_blocks;
+  check Alcotest.int "no run-store I/O" 0
+    (Extmem.Io_stats.total (List.assoc "runs" r.Nexsort.breakdown))
 
 let test_output_fault_leaves_whole_blocks () =
   (* a failing output phase must not leave a torn final block: whatever
@@ -681,7 +639,7 @@ let test_lemma_stack_paging_linear () =
   (* Lemmas 4.10/4.11/4.13: data-, path- and output-location-stack paging
      are all O(N/B); measure them against the input block count *)
   let config =
-    Config.make ~block_size:128 ~memory_blocks:8 ~degeneration:false ~root_fusion:false ()
+    Config.make ~block_size:128 ~memory_blocks:8 ~degeneration:false ()
   in
   let xml = gen_doc ~height:6 ~max_fanout:5 ~max_elements:2000 41 in
   let n_blocks = (String.length xml + 127) / 128 in
@@ -702,7 +660,7 @@ let test_lemma_stack_paging_linear () =
 let test_lemma_run_blocks_linear () =
   (* Lemma 4.8: total sorted-run blocks are O(N/B); and Lemma 4.12: run
      reads during output are bounded by run blocks + number of runs *)
-  let config = Config.make ~block_size:128 ~memory_blocks:8 ~root_fusion:false () in
+  let config = Config.make ~block_size:128 ~memory_blocks:8 () in
   let xml = gen_doc ~height:5 ~max_fanout:6 ~max_elements:1500 43 in
   let n_blocks = (String.length xml + 127) / 128 in
   let r, get = lemma_breakdown ~config xml in
@@ -944,10 +902,9 @@ let arb_config =
       let* memory_blocks = int_range 8 16 in
       let* threshold_mult = oneofl [ 1; 2; 4 ] in
       let* degeneration = bool in
-      let* root_fusion = bool in
       return
         (Config.make ~block_size ~memory_blocks ~threshold:(threshold_mult * block_size)
-           ~degeneration ~root_fusion ()))
+           ~degeneration ()))
 
 let arb_doc =
   QCheck.make
@@ -1051,8 +1008,6 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_sort_idempotent;
           Alcotest.test_case "sortedness invariant" `Quick test_sort_output_is_sorted_invariant;
           Alcotest.test_case "malformed input" `Quick test_sort_malformed_input;
-          Alcotest.test_case "fusion off same output" `Quick test_sort_fusion_off_same_output;
-          qcheck prop_fusion_identical;
           Alcotest.test_case "fusion saves exactly the root-run I/O" `Quick
             test_fusion_saves_exactly_root_run_io;
           Alcotest.test_case "output fault leaves whole blocks" `Quick

@@ -114,18 +114,6 @@ let test_source_closed_once () =
   check Alcotest.int "closed once" 1 !closes;
   check Alcotest.int "released once" 0 (Extmem.Memory_budget.used_blocks b)
 
-let test_of_run () =
-  let dev = Extmem.Device.in_memory ~block_size:16 () in
-  let store = Extmem.Run_store.create dev in
-  let w = Extmem.Run_store.begin_run store in
-  List.iter (Extmem.Block_writer.write_record w) [ "r1"; "r2" ];
-  let id = Extmem.Run_store.finish_run store w in
-  let b = budget () in
-  let acc = ref [] in
-  Pipe.run ~budget:b (Pipe.of_run store id) (collect_sink acc);
-  check (Alcotest.list Alcotest.string) "run streamed" [ "r1"; "r2" ] (List.rev !acc);
-  check Alcotest.int "read buffer released" 0 (Extmem.Memory_budget.used_blocks b)
-
 let () =
   Alcotest.run "pipe"
     [
@@ -139,6 +127,5 @@ let () =
           Alcotest.test_case "sink flushed on drain failure" `Quick
             test_sink_flushed_on_drain_failure;
           Alcotest.test_case "source closed once" `Quick test_source_closed_once;
-          Alcotest.test_case "of_run" `Quick test_of_run;
         ] );
     ]
