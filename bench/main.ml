@@ -332,43 +332,6 @@ let ablate_degen () =
     \ with it, NEXSORT should be within a whisker of merge sort)"
 
 (* ------------------------------------------------------------------ *)
-(* A-runs: run-formation ablation (replacement selection) *)
-
-let ablate_runs () =
-  heading "A-runs / ablation: run formation in the external sorter";
-  subnote
-    "classic replacement selection doubles the average run length on random input,\n\
-     halving the run count and sometimes saving a whole merge pass";
-  let n = if !quick then 20_000 else 120_000 in
-  let rng = Xmlgen.Splitmix.create 12345 in
-  let records = List.init n (fun _ -> Printf.sprintf "%08d" (Xmlgen.Splitmix.int rng 99999989)) in
-  let run formation label =
-    let budget = Extmem.Memory_budget.create ~blocks:8 ~block_size:1024 in
-    let temp = Extmem.Device.in_memory ~block_size:1024 () in
-    let input =
-      let rest = ref records in
-      fun () ->
-        match !rest with
-        | [] -> None
-        | x :: tl ->
-            rest := tl;
-            Some x
-    in
-    let sink = ref 0 in
-    let stats, seconds =
-      time (fun () ->
-          Extsort.External_sort.sort ~run_formation:formation ~budget ~temp ~cmp:compare ~input
-            ~output:(fun _ -> incr sink)
-            ())
-    in
-    Printf.printf "%-24s : %8d io  %6.2fs  runs=%d passes=%d\n" label
-      (Extmem.Io_stats.total (Extmem.Device.stats temp))
-      seconds stats.Extsort.External_sort.initial_runs stats.Extsort.External_sort.merge_passes
-  in
-  run `Load_sort "load-sort-store (default)";
-  run `Replacement_selection "replacement selection"
-
-(* ------------------------------------------------------------------ *)
 (* E-mot: the motivating claim of s1 - nested-loop merge vs sort-merge *)
 
 let motivation () =
@@ -950,8 +913,11 @@ let validate_metrics path =
   Printf.printf "validate-metrics: %s OK\n" path
 
 (* compare-metrics BASELINE NEW: fail if any I/O counter in NEW's "io"
-   section exceeds BASELINE's — the CI regression gate on the committed
-   smoke-run baseline. *)
+   section exceeds BASELINE's, or if NEW's gc.minor_words is more than 2%
+   above BASELINE's — the CI regression gate on the committed smoke-run
+   baseline.  Minor words are deterministic for a given build and input,
+   so this is an exact CPU gate; 2% is perfbench's minor_words_per_event
+   bound. *)
 let compare_metrics baseline_path new_path =
   let read path =
     let ic = open_in_bin path in
@@ -988,6 +954,18 @@ let compare_metrics baseline_path new_path =
     | _ -> fail "%s: %s is not an integer counter in both files" new_path path
   in
   walk "io" base_io new_io;
+  let minor_words path json =
+    match Option.bind (Obs.Json.member "gc" json) (Obs.Json.member "minor_words") with
+    | Some (Obs.Json.Int w) -> w
+    | _ -> fail "%s has no integer gc.minor_words" path
+  in
+  let base_mw = minor_words baseline_path base_json in
+  let new_mw = minor_words new_path new_json in
+  if new_mw * 100 > base_mw * 102 then
+    regressions :=
+      Printf.sprintf "gc.minor_words: %d -> %d (+%.2f%%, bound 2%%)" base_mw new_mw
+        (100. *. float_of_int (new_mw - base_mw) /. float_of_int base_mw)
+      :: !regressions;
   (* hit-ratio gate: the buffer pool must not get worse at keeping hot
      blocks resident.  Sections with no recorded accesses (the streaming
      nexsort pipeline) are skipped. *)
@@ -1024,7 +1002,6 @@ let experiments =
     ("threshold", threshold);
     ("model", model);
     ("ablate-degen", ablate_degen);
-    ("ablate-runs", ablate_runs);
     ("motivation", motivation);
     ("xsort", xsort);
     ("policy-sweep", policy_sweep);

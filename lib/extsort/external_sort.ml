@@ -5,11 +5,6 @@ type stats = {
   merge_passes : int;
 }
 
-type run_formation =
-  [ `Load_sort
-  | `Replacement_selection
-  ]
-
 (* Per-record arena overhead: OCaml string header + container slot,
    approximated as two words.  The exact constant only shifts where runs
    are cut. *)
@@ -62,77 +57,6 @@ let load_sort_runs ~fa ~arena_capacity ~store ~cmp ~input ~count =
   end
   else begin
     flush ();
-    Ok (List.rev !run_ids)
-  end
-
-(* ---- run formation: replacement selection ----
-
-   The classic heap-based scheme: pop the smallest record into the current
-   run; an incoming record joins the current run's heap if it is not
-   smaller than the last record written, otherwise it waits (still in
-   memory) for the next run.  On random input runs come out about twice
-   the arena size, halving the run count and often saving a merge pass. *)
-let replacement_selection_runs ~fa ~arena_capacity ~store ~cmp ~input ~count =
-  let less a b = cmp a b < 0 in
-  let current = Heap.create ~less in
-  let pending = Extmem.Vec.create () in
-  let in_memory = ref 0 in
-  let size_of r = String.length r + record_overhead in
-  let exhausted = ref false in
-  let read () =
-    match input () with
-    | None ->
-        exhausted := true;
-        None
-    | Some r ->
-        count r;
-        Some r
-  in
-  (* prime the heap *)
-  let rec prime () =
-    if !in_memory < arena_capacity && not !exhausted then begin
-      match read () with
-      | Some r ->
-          Heap.push current r;
-          in_memory := !in_memory + size_of r;
-          prime ()
-      | None -> ()
-    end
-  in
-  prime ();
-  if !exhausted then Error current (* everything fits: drain the heap *)
-  else begin
-    let run_ids = ref [] in
-    while Heap.length current > 0 do
-      let buffer = Extmem.Frame_arena.take fa (Extmem.Device.block_size (Extmem.Run_store.device store)) in
-      let w = Extmem.Run_store.begin_run ~buffer store in
-      let rec produce () =
-        if Heap.length current > 0 then begin
-          let m = Heap.pop current in
-          Extmem.Block_writer.write_record w m;
-          in_memory := !in_memory - size_of m;
-          (* refill while there is room *)
-          let rec refill () =
-            if !in_memory < arena_capacity && not !exhausted then begin
-              match read () with
-              | Some r ->
-                  in_memory := !in_memory + size_of r;
-                  if cmp r m >= 0 then Heap.push current r else Extmem.Vec.push pending r;
-                  refill ()
-              | None -> ()
-            end
-          in
-          refill ();
-          produce ()
-        end
-      in
-      produce ();
-      run_ids := Extmem.Run_store.finish_run store w :: !run_ids;
-      Extmem.Frame_arena.give fa buffer;
-      (* the pending records seed the next run *)
-      Extmem.Vec.iter (Heap.push current) pending;
-      Extmem.Vec.clear pending
-    done;
     Ok (List.rev !run_ids)
   end
 
@@ -198,7 +122,7 @@ type opened = {
   stats : stats;
 }
 
-let sort_open ?(run_formation = `Load_sort) ?arena ~budget ~temp ~cmp ~input () =
+let sort_open ?arena ~budget ~temp ~cmp ~input () =
   let fa = match arena with Some a -> a | None -> Extmem.Frame_arena.create ~budget () in
   let bs = Extmem.Memory_budget.block_size budget in
   let blocks = Extmem.Memory_budget.available_blocks budget in
@@ -221,22 +145,13 @@ let sort_open ?(run_formation = `Load_sort) ?arena ~budget ~temp ~cmp ~input () 
   in
   let formation = Extmem.Frame_arena.lease fa ~who:"external sort run formation" blocks in
   let formed =
-    try
-      match run_formation with
-      | `Load_sort -> (
-          match load_sort_runs ~fa ~arena_capacity ~store ~cmp ~input ~count with
-          | Error arena -> `Arena arena
-          | Ok runs -> `Runs runs)
-      | `Replacement_selection -> (
-          match replacement_selection_runs ~fa ~arena_capacity ~store ~cmp ~input ~count with
-          | Error heap -> `Heap heap
-          | Ok runs -> `Runs runs)
+    try load_sort_runs ~fa ~arena_capacity ~store ~cmp ~input ~count
     with e ->
       Extmem.Frame_arena.close_lease formation;
       raise e
   in
   match formed with
-  | `Arena arena ->
+  | Error arena ->
       (* Everything fits: the sorted arena stays live until drained, so
          keep its [blocks - 1] leased (the output-buffer block is the
          caller's) and close on close / exhaustion. *)
@@ -255,18 +170,7 @@ let sort_open ?(run_formation = `Load_sort) ?arena ~budget ~temp ~cmp ~input () 
         end
       in
       { pull; close = release; stats = finish 0 0 }
-  | `Heap heap ->
-      Extmem.Frame_arena.shrink formation 1;
-      let release () = Extmem.Frame_arena.close_lease formation in
-      let pull () =
-        if Heap.length heap = 0 then begin
-          release ();
-          None
-        end
-        else Some (Heap.pop heap)
-      in
-      { pull; close = release; stats = finish 0 0 }
-  | `Runs runs ->
+  | Ok runs ->
       Extmem.Frame_arena.close_lease formation;
       let fan_in = blocks - 1 in
       let final_runs, inter = intermediate_passes ~fa ~store ~fan_in ~cmp runs in
@@ -281,9 +185,9 @@ let sort_open ?(run_formation = `Load_sort) ?arena ~budget ~temp ~cmp ~input () 
       in
       { pull; close; stats = finish (List.length runs) (inter + 1) }
 
-let sort ?run_formation ?arena ~budget ~temp ~cmp ~input ~output () =
+let sort ?arena ~budget ~temp ~cmp ~input ~output () =
   let fa = match arena with Some a -> a | None -> Extmem.Frame_arena.create ~budget () in
-  let o = sort_open ?run_formation ~arena:fa ~budget ~temp ~cmp ~input () in
+  let o = sort_open ~arena:fa ~budget ~temp ~cmp ~input () in
   Fun.protect ~finally:o.close (fun () ->
       Extmem.Frame_arena.with_lease fa ~who:"external sort output buffer" 1 @@ fun _ ->
       let rec go () =

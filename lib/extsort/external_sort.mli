@@ -18,15 +18,6 @@
     An input that fits in the arena never touches the temp device: it is
     sorted in memory and streamed straight to the output. *)
 
-type run_formation =
-  [ `Load_sort  (** fill the arena, sort it, write a run (the default) *)
-  | `Replacement_selection
-    (** heap-based run formation: runs average twice the arena size on
-        random input, halving the run count and often saving a merge
-        pass — the classic tape-era optimisation, ablated in
-        [bench/main.exe ablate-runs] *)
-  ]
-
 type stats = {
   records : int;       (** number of records sorted *)
   bytes : int;         (** total payload bytes *)
@@ -50,7 +41,6 @@ type opened = {
     drained into a sink — the pipeline-fusion entry point. *)
 
 val sort_open :
-  ?run_formation:run_formation ->
   ?arena:Extmem.Frame_arena.t ->
   budget:Extmem.Memory_budget.t ->
   temp:Extmem.Device.t ->
@@ -82,7 +72,6 @@ val sort_open :
     free. *)
 
 val sort :
-  ?run_formation:run_formation ->
   ?arena:Extmem.Frame_arena.t ->
   budget:Extmem.Memory_budget.t ->
   temp:Extmem.Device.t ->

@@ -115,14 +115,10 @@ let intern_bytes d b off len =
       in
       probe (h land d.mask))
 
-let find d s = Mutex.protect d.lock (fun () -> find_locked_string d s (hash_string s))
-
 let lookup d id =
   Mutex.protect d.lock (fun () ->
       if id < 0 || id >= Extmem.Vec.length d.by_id then
         invalid_arg (Printf.sprintf "Dict.lookup: unknown id %d" id);
       Extmem.Vec.get d.by_id id)
-
-let size d = Mutex.protect d.lock (fun () -> Extmem.Vec.length d.by_id)
 
 let to_list d = Mutex.protect d.lock (fun () -> Extmem.Vec.to_list d.by_id)

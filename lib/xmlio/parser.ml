@@ -17,7 +17,6 @@ type t = {
   mutable peeked : Event.t option option;
   mutable root_seen : bool;
   mutable finished : bool;
-  mutable doctype_subset : string option;
   keep_ws : bool;
   buf : Buffer.t;                     (* text accumulator *)
   buf2 : Buffer.t;                    (* entity references *)
@@ -65,7 +64,6 @@ let of_fn ?dict ?(keep_whitespace = false) source =
     peeked = None;
     root_seen = false;
     finished = false;
-    doctype_subset = None;
     keep_ws = keep_whitespace;
     buf = Buffer.create 256;
     buf2 = Buffer.create 64;
@@ -236,25 +234,16 @@ let read_pi p =
   go false
 
 let read_doctype p =
-  (* after "<!DOCTYPE"; the internal subset (between brackets) is captured
-     so a DTD can be recovered with [doctype_subset] *)
-  let subset = Buffer.create 64 in
+  (* after "<!DOCTYPE"; the internal subset (between brackets) is skipped *)
   let rec go bracket_depth =
     match read_char p with
     | None -> fail p "unterminated DOCTYPE"
-    | Some '[' ->
-        if bracket_depth > 0 then Buffer.add_char subset '[';
-        go (bracket_depth + 1)
-    | Some ']' ->
-        if bracket_depth > 1 then Buffer.add_char subset ']';
-        go (bracket_depth - 1)
+    | Some '[' -> go (bracket_depth + 1)
+    | Some ']' -> go (bracket_depth - 1)
     | Some '>' when bracket_depth = 0 -> ()
-    | Some c ->
-        if bracket_depth > 0 then Buffer.add_char subset c;
-        go bracket_depth
+    | Some _ -> go bracket_depth
   in
-  go 0;
-  if Buffer.length subset > 0 then p.doctype_subset <- Some (Buffer.contents subset)
+  go 0
 
 let read_cdata p =
   (* after "<![CDATA[", contents appended to p.buf *)
@@ -559,5 +548,3 @@ let to_list p =
     | None -> List.rev acc
   in
   go []
-
-let doctype_subset p = p.doctype_subset

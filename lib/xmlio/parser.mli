@@ -58,11 +58,5 @@ val depth : t -> int
 val line : t -> int
 val col : t -> int
 
-val doctype_subset : t -> string option
-(** The internal subset of the document's DOCTYPE (the text between the
-    brackets), once the declaration has been consumed — feed it to
-    {!Dtd.parse} to recover the DTD.  [None] when there is no DOCTYPE or
-    it has no internal subset. *)
-
 val to_list : t -> Event.t list
 (** Drain the parser.  @raise Error on malformed input. *)

@@ -61,15 +61,6 @@ let to_events t =
 
 let to_string ?decl ?indent t = Writer.events_to_string ?decl ?indent (to_events t)
 
-let rec equal a b =
-  match (a, b) with
-  | Text x, Text y -> String.equal x y
-  | Element x, Element y ->
-      String.equal x.name y.name && x.attrs = y.attrs
-      && List.length x.children = List.length y.children
-      && List.for_all2 equal x.children y.children
-  | Text _, Element _ | Element _, Text _ -> false
-
 let rec size = function
   | Text _ -> 1
   | Element { children; _ } -> List.fold_left (fun acc c -> acc + size c) 1 children
@@ -93,12 +84,5 @@ let rec map_children f = function
       let children = List.map (map_children f) e.children in
       let e = { e with children } in
       Element { e with children = f e }
-
-let rec fold f acc t =
-  match t with
-  | Text _ -> f acc t
-  | Element { children; _ } ->
-      let acc = f acc t in
-      List.fold_left (fold f) acc children
 
 let pp ppf t = Format.pp_print_string ppf (to_string ~indent:true t)

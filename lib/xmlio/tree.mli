@@ -35,8 +35,6 @@ val to_events : t -> Event.t list
 
 val to_string : ?decl:bool -> ?indent:bool -> t -> string
 
-val equal : t -> t -> bool
-
 val size : t -> int
 (** Number of nodes (elements and text nodes), the paper's [N]. *)
 
@@ -55,8 +53,5 @@ val map_children : (element -> t list) -> t -> t
 (** Rebuild the tree bottom-up, replacing every element's child list with
     the function's result (applied to the element whose children have
     already been rewritten). *)
-
-val fold : ('acc -> t -> 'acc) -> 'acc -> t -> 'acc
-(** Pre-order fold over all nodes. *)
 
 val pp : Format.formatter -> t -> unit

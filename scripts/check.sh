@@ -29,7 +29,9 @@ dune exec bin/nexfuzz.exe -- --smoke
 # Bench smoke: a quick run must produce a metrics report that parses and
 # carries the paper's per-phase I/O breakdown (§4.2).  The committed
 # baseline BENCH_smoke.json makes schema drift show up in review, and any
-# I/O counter regression against it fails the gate.
+# I/O counter regression against it, or gc.minor_words more than 2% above
+# it, fails the gate.  The engine-smoke comparisons below take the same
+# gate in both directions.
 dune exec bench/main.exe -- --quick --metrics /tmp/m.json > /dev/null
 dune exec bench/main.exe -- validate-metrics /tmp/m.json
 dune exec bench/main.exe -- compare-metrics BENCH_smoke.json /tmp/m.json

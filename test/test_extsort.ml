@@ -139,12 +139,12 @@ let prop_heap_drains_sorted =
 (* ------------------------------------------------------------------ *)
 (* External sort *)
 
-let run_sort ?run_formation ?(block_size = 64) ?(blocks = 4) records =
+let run_sort ?(block_size = 64) ?(blocks = 4) records =
   let budget = Extmem.Memory_budget.create ~blocks ~block_size in
   let temp = Extmem.Device.in_memory ~block_size () in
   let out = ref [] in
   let stats =
-    Extsort.External_sort.sort ?run_formation ~budget ~temp ~cmp:compare
+    Extsort.External_sort.sort ~budget ~temp ~cmp:compare
       ~input:(of_list records)
       ~output:(fun r -> out := r :: !out)
       ()
@@ -208,51 +208,6 @@ let test_extsort_custom_order () =
     (List.init 50 (fun i -> Printf.sprintf "%03d" (49 - i)))
     (List.rev !out)
 
-let test_replacement_selection_correct () =
-  let records = List.init 300 (fun i -> Printf.sprintf "%05d" (7919 * i mod 100000)) in
-  let got, stats, _, _ =
-    run_sort ~run_formation:`Replacement_selection ~block_size:32 ~blocks:3 records
-  in
-  check (Alcotest.list Alcotest.string) "sorted" (List.sort compare records) got;
-  check Alcotest.bool "spilled" true (stats.Extsort.External_sort.initial_runs > 0)
-
-let test_replacement_selection_fewer_runs () =
-  (* on random input, replacement selection halves the run count *)
-  let records = List.init 600 (fun i -> Printf.sprintf "%05d" (48271 * i mod 99991)) in
-  let _, ls, _, _ = run_sort ~run_formation:`Load_sort ~block_size:32 ~blocks:3 records in
-  let _, rs, _, _ =
-    run_sort ~run_formation:`Replacement_selection ~block_size:32 ~blocks:3 records
-  in
-  check Alcotest.bool
-    (Printf.sprintf "fewer runs (rs %d vs ls %d)" rs.Extsort.External_sort.initial_runs
-       ls.Extsort.External_sort.initial_runs)
-    true
-    (rs.Extsort.External_sort.initial_runs < ls.Extsort.External_sort.initial_runs)
-
-let test_replacement_selection_sorted_input_one_run () =
-  (* already-sorted input: replacement selection produces a single run *)
-  let records = List.init 400 (fun i -> Printf.sprintf "%05d" i) in
-  let got, stats, _, _ =
-    run_sort ~run_formation:`Replacement_selection ~block_size:32 ~blocks:3 records
-  in
-  check (Alcotest.list Alcotest.string) "sorted" records got;
-  check Alcotest.int "single run" 1 stats.Extsort.External_sort.initial_runs
-
-let test_replacement_selection_in_memory () =
-  let got, stats, temp, _ = run_sort ~run_formation:`Replacement_selection [ "c"; "a"; "b" ] in
-  check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c" ] got;
-  check Alcotest.int "no runs" 0 stats.Extsort.External_sort.initial_runs;
-  check Alcotest.int "no temp io" 0 (Extmem.Io_stats.total (Extmem.Device.stats temp))
-
-let prop_replacement_selection_equals_list_sort =
-  QCheck.Test.make ~name:"replacement selection = List.sort" ~count:100
-    QCheck.(pair (int_range 16 64) (list (string_of_size QCheck.Gen.small_nat)))
-    (fun (block_size, records) ->
-      let got, _, _, _ =
-        run_sort ~run_formation:`Replacement_selection ~block_size ~blocks:3 records
-      in
-      got = List.sort compare records)
-
 let prop_extsort_equals_list_sort =
   QCheck.Test.make ~name:"external sort = List.sort for any input and geometry" ~count:150
     QCheck.(
@@ -261,6 +216,33 @@ let prop_extsort_equals_list_sort =
     (fun (block_size, blocks, records) ->
       let got, _, _, _ = run_sort ~block_size ~blocks records in
       got = List.sort compare records)
+
+(* Load-sort-store cuts runs by memory alone: the run count depends on
+   the records' sizes, never on their order (a presorted input is not
+   one run, as it would be under replacement selection). *)
+let test_runs_order_independent () =
+  let n = 300 in
+  let key i = Printf.sprintf "k%05d" i in
+  let sorted = List.init n key in
+  let runs records =
+    let got, stats, _, _ = run_sort ~block_size:32 ~blocks:3 records in
+    check (Alcotest.list Alcotest.string) "sorted" sorted got;
+    stats.Extsort.External_sort.initial_runs
+  in
+  let r = runs sorted in
+  check Alcotest.bool "presorted input spills to several runs" true (r > 1);
+  check Alcotest.int "reversed" r (runs (List.rev sorted));
+  check Alcotest.int "shuffled" r (runs (List.init n (fun i -> key (7919 * i mod n))))
+
+let prop_runs_order_independent =
+  QCheck.Test.make ~name:"run count of a permutation = run count sorted" ~count:50
+    QCheck.(list_of_size (QCheck.Gen.int_range 50 300) (string_of_size (QCheck.Gen.return 8)))
+    (fun records ->
+      let runs records =
+        let _, stats, _, _ = run_sort ~block_size:32 ~blocks:3 records in
+        stats.Extsort.External_sort.initial_runs
+      in
+      runs records = runs (List.sort compare records))
 
 let prop_extsort_io_bounded =
   (* I/O on the temp device is bounded by 2 * (passes + 1) * data blocks,
@@ -521,15 +503,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_heap_basic;
           qcheck prop_heap_drains_sorted;
         ] );
-      ( "replacement_selection",
-        [
-          Alcotest.test_case "correct" `Quick test_replacement_selection_correct;
-          Alcotest.test_case "fewer runs" `Quick test_replacement_selection_fewer_runs;
-          Alcotest.test_case "sorted input one run" `Quick
-            test_replacement_selection_sorted_input_one_run;
-          Alcotest.test_case "in-memory fast path" `Quick test_replacement_selection_in_memory;
-          qcheck prop_replacement_selection_equals_list_sort;
-        ] );
       ( "external_sort",
         [
           Alcotest.test_case "in-memory fast path" `Quick test_extsort_small_in_memory;
@@ -541,6 +514,11 @@ let () =
           Alcotest.test_case "custom order" `Quick test_extsort_custom_order;
           qcheck prop_extsort_equals_list_sort;
           qcheck prop_extsort_io_bounded;
+        ] );
+      ( "run_generation_counts",
+        [
+          Alcotest.test_case "same runs for any order" `Quick test_runs_order_independent;
+          qcheck prop_runs_order_independent;
         ] );
       ( "ext_pq",
         [

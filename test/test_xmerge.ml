@@ -8,7 +8,7 @@ let qcheck = QCheck_alcotest.to_alcotest
 module Key = Nexsort.Key
 module Ordering = Nexsort.Ordering
 
-let tree_eq = Alcotest.testable Xmlio.Tree.pp Xmlio.Tree.equal
+let tree_eq = Alcotest.testable Xmlio.Tree.pp ( = )
 
 let parse = Xmlio.Tree.of_string
 
@@ -210,7 +210,7 @@ let prop_merge_equals_reference =
       let sl, _ = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
       let sr, _ = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
       let merged, _ = Xmerge.Struct_merge.merge_strings ~ordering sl sr in
-      Xmlio.Tree.equal (ref_merge_strings ordering sl sr) (parse merged))
+      ref_merge_strings ordering sl sr = parse merged)
 
 let prop_merge_output_sorted =
   QCheck.Test.make ~name:"struct merge output is itself sorted" ~count:40 QCheck.small_nat
@@ -373,156 +373,6 @@ let test_update_result_stays_sorted () =
     (parse "<db id=\"0\"><a id=\"1\"/><b id=\"3\"/><e id=\"7\"/><d id=\"9\"/></db>")
     (parse out);
   check Alcotest.bool "still sorted" true (Baselines.Tree_sort.sorted by_id (parse out))
-
-(* ------------------------------------------------------------------ *)
-(* Seqnum: preserving document order across sort + merge (Example 1.1) *)
-
-let test_seqnum_roundtrip () =
-  let doc = "<r id=\"0\"><b id=\"9\"><y id=\"5\"/><x id=\"7\"/></b><a id=\"3\">text</a></r>" in
-  let annotated = Xmerge.Seqnum.annotate doc in
-  (* sorting scrambles the sibling order... *)
-  let sorted, _ = Nexsort.sort_string ~config ~ordering:by_id annotated in
-  check Alcotest.bool "sorting changed the order" true
-    (Xmerge.Seqnum.strip sorted <> doc);
-  (* ...and restore brings the original order back exactly *)
-  check tree_eq "restored" (parse doc) (parse (Xmerge.Seqnum.restore ~config sorted))
-
-let test_seqnum_preserves_order_through_merge () =
-  (* Example 1.1's closing remark, end to end: merge two documents, then
-     recover the left document's original ordering *)
-  let d1 = "<r id=\"0\"><b id=\"9\"/><a id=\"3\"/><c id=\"5\"/></r>" in
-  let d2 = "<r id=\"0\"><z id=\"1\"/><a id=\"3\"/></r>" in
-  let a1 = Xmerge.Seqnum.annotate ~offset:0 d1 in
-  let a2 = Xmerge.Seqnum.annotate ~offset:1000 d2 in
-  (* __seq must not disturb key-based matching: sort under by_id, merge *)
-  let merged, _ = Xmerge.Struct_merge.sort_and_merge_strings ~config ~ordering:by_id a1 a2 in
-  let restored = Xmerge.Seqnum.restore ~config merged in
-  (* left order first (b, a, c), right-only elements after (z) *)
-  check tree_eq "left order preserved"
-    (parse "<r id=\"0\"><b id=\"9\"/><a id=\"3\"/><c id=\"5\"/><z id=\"1\"/></r>")
-    (parse restored)
-
-let test_seqnum_rejects_reserved () =
-  try
-    ignore (Xmerge.Seqnum.annotate "<r __seq=\"1\"/>");
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let prop_seqnum_restores_any_document =
-  QCheck.Test.make ~name:"annotate |> sort |> restore = identity" ~count:60 QCheck.small_nat
-    (fun seed ->
-      let doc, _ =
-        Xmlgen.Gen.to_string (fun sink ->
-            Xmlgen.Gen.random_shape ~seed:(seed + 3000) ~avg_bytes:30 ~max_elements:80 ~height:4
-              ~max_fanout:5 sink)
-      in
-      let sorted, _ =
-        Nexsort.sort_string ~config ~ordering:by_id (Xmerge.Seqnum.annotate doc)
-      in
-      Xmlio.Tree.equal (parse doc) (parse (Xmerge.Seqnum.restore ~config sorted)))
-
-(* ------------------------------------------------------------------ *)
-(* Archive (nested merge of versions) *)
-
-let test_archive_init_and_extract () =
-  let doc = "<db id=\"0\"><item id=\"2\">two</item><item id=\"1\">one</item></db>" in
-  let archive, report = Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" doc in
-  check (Alcotest.list Alcotest.string) "versions" [ "v1" ] (Xmerge.Archive.versions archive);
-  check Alcotest.int "elements added" 3 report.Xmerge.Archive.elements_added;
-  (match Xmerge.Archive.extract ~version:"v1" archive with
-  | Some snapshot ->
-      check tree_eq "extract = sorted original"
-        (parse "<db id=\"0\"><item id=\"1\">one</item><item id=\"2\">two</item></db>")
-        (parse snapshot)
-  | None -> Alcotest.fail "v1 missing");
-  check Alcotest.bool "unknown version" true
-    (Xmerge.Archive.extract ~version:"v9" archive = None)
-
-let test_archive_add_and_extract_all () =
-  let v1 = "<db id=\"0\"><item id=\"1\">alpha</item><item id=\"2\">beta</item></db>" in
-  (* v2: item 2 changes text, item 3 appears, item 1 disappears *)
-  let v2 = "<db id=\"0\"><item id=\"3\">new</item><item id=\"2\">BETA</item></db>" in
-  let archive, _ = Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" v1 in
-  let archive, report = Xmerge.Archive.add ~config ~ordering:by_id ~version:"v2" ~archive v2 in
-  check (Alcotest.list Alcotest.string) "versions" [ "v1"; "v2" ]
-    (Xmerge.Archive.versions archive);
-  check Alcotest.int "item 3 added" 1 report.Xmerge.Archive.elements_added;
-  let snap v = Option.get (Xmerge.Archive.extract ~version:v archive) in
-  check tree_eq "v1 reconstructed"
-    (Baselines.Tree_sort.sort_tree by_id (parse v1))
-    (parse (snap "v1"));
-  check tree_eq "v2 reconstructed"
-    (Baselines.Tree_sort.sort_tree by_id (parse v2))
-    (parse (snap "v2"))
-
-let test_archive_duplicate_version_rejected () =
-  let archive, _ = Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" "<db id=\"0\"/>" in
-  try
-    ignore (Xmerge.Archive.add ~config ~ordering:by_id ~version:"v1" ~archive "<db id=\"0\"/>");
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_archive_reserved_names_rejected () =
-  (try
-     ignore (Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" "<db id=\"0\" __v=\"x\"/>");
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" "<db id=\"0\"><__text/></db>");
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_archive_is_sorted () =
-  let pair = Xmlgen.Company.generate ~seed:8 () in
-  let ordering = Xmlgen.Company.ordering in
-  let archive, _ =
-    Xmerge.Archive.init ~config ~ordering ~version:"2026-01" pair.Xmlgen.Company.personnel
-  in
-  let archive, _ =
-    Xmerge.Archive.add ~config ~ordering ~version:"2026-02" ~archive pair.Xmlgen.Company.payroll
-  in
-  (* the archive stays fully sorted, so the next merge is one pass *)
-  check Alcotest.bool "archive sorted" true
-    (Baselines.Tree_sort.sorted ordering (parse archive))
-
-let prop_archive_roundtrip =
-  (* every version of a random history is reconstructible, exactly *)
-  QCheck.Test.make ~name:"archive reconstructs every version exactly" ~count:40
-    QCheck.(pair small_nat (int_range 2 4))
-    (fun (seed, nversions) ->
-      let version_doc i =
-        let s, _ =
-          Xmlgen.Gen.to_string (fun sink ->
-              Xmlgen.Gen.random_shape ~seed:(seed + (i * 131)) ~avg_bytes:30 ~max_elements:40
-                ~height:3 ~max_fanout:4 sink)
-        in
-        s
-      in
-      let docs = List.init nversions version_doc in
-      (* all docs share the root tag n1, as archives require *)
-      let archive =
-        List.fold_left
-          (fun acc (i, doc) ->
-            match acc with
-            | None -> Some (fst (Xmerge.Archive.init ~config ~ordering:by_id ~version:(Printf.sprintf "v%d" i) doc))
-            | Some archive ->
-                Some
-                  (fst
-                     (Xmerge.Archive.add ~config ~ordering:by_id
-                        ~version:(Printf.sprintf "v%d" i) ~archive doc)))
-          None
-          (List.mapi (fun i d -> (i, d)) docs)
-      in
-      let archive = Option.get archive in
-      List.for_all
-        (fun (i, doc) ->
-          match Xmerge.Archive.extract ~version:(Printf.sprintf "v%d" i) archive with
-          | None -> false
-          | Some snap ->
-              Xmlio.Tree.equal
-                (Baselines.Tree_sort.sort_tree by_id (parse doc))
-                (parse snap))
-        (List.mapi (fun i d -> (i, d)) docs))
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -837,22 +687,6 @@ let () =
           Alcotest.test_case "empty flush" `Quick test_ingest_empty_flush_is_noop;
           Alcotest.test_case "rejects malformed" `Quick test_ingest_rejects_malformed;
           qcheck prop_ingest_partition_invariant;
-        ] );
-      ( "seqnum",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_seqnum_roundtrip;
-          Alcotest.test_case "order through merge" `Quick test_seqnum_preserves_order_through_merge;
-          Alcotest.test_case "rejects reserved" `Quick test_seqnum_rejects_reserved;
-          qcheck prop_seqnum_restores_any_document;
-        ] );
-      ( "archive",
-        [
-          Alcotest.test_case "init and extract" `Quick test_archive_init_and_extract;
-          Alcotest.test_case "add and extract all" `Quick test_archive_add_and_extract_all;
-          Alcotest.test_case "duplicate version" `Quick test_archive_duplicate_version_rejected;
-          Alcotest.test_case "reserved names" `Quick test_archive_reserved_names_rejected;
-          Alcotest.test_case "archive stays sorted" `Quick test_archive_is_sorted;
-          qcheck prop_archive_roundtrip;
         ] );
       ( "generators",
         [

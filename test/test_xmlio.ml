@@ -135,6 +135,16 @@ let test_parse_doctype () =
     [ Xmlio.Event.Start ("t", []); Xmlio.Event.End "t" ]
     (parse "<!DOCTYPE t [ <!ELEMENT t (#PCDATA)> ]><t/>")
 
+let test_parse_doctype_subset () =
+  check (Alcotest.list event) "multi-declaration subset skipped"
+    [
+      Xmlio.Event.Start ("r", []);
+      Xmlio.Event.Start ("leaf", []);
+      Xmlio.Event.End "leaf";
+      Xmlio.Event.End "r";
+    ]
+    (parse "<!DOCTYPE r [ <!ELEMENT r (leaf*)> <!ELEMENT leaf EMPTY> ]><r><leaf/></r>")
+
 let test_parse_whitespace_dropped () =
   check (Alcotest.list event) "ws dropped"
     [
@@ -292,10 +302,10 @@ let sample_tree =
 let test_tree_roundtrip () =
   let evs = Xmlio.Tree.to_events sample_tree in
   let back = Xmlio.Tree.of_events evs in
-  check Alcotest.bool "of_events . to_events = id" true (Xmlio.Tree.equal sample_tree back);
+  check Alcotest.bool "of_events . to_events = id" true (sample_tree = back);
   let s = Xmlio.Tree.to_string sample_tree in
   let reparsed = Xmlio.Tree.of_string s in
-  check Alcotest.bool "string roundtrip" true (Xmlio.Tree.equal sample_tree reparsed)
+  check Alcotest.bool "string roundtrip" true (sample_tree = reparsed)
 
 let test_tree_stats () =
   check Alcotest.int "size" 11 (Xmlio.Tree.size sample_tree);
@@ -308,15 +318,7 @@ let test_tree_map_children () =
   let rev = Xmlio.Tree.map_children (fun e -> List.rev e.Xmlio.Tree.children) in
   let t = Xmlio.Tree.of_string "<r><a/><b/><c><d/><e/></c></r>" in
   let expected = Xmlio.Tree.of_string "<r><c><e/><d/></c><b/><a/></r>" in
-  check Alcotest.bool "reversed" true (Xmlio.Tree.equal (rev t) expected)
-
-let test_tree_fold () =
-  let names =
-    Xmlio.Tree.fold
-      (fun acc n -> match n with Xmlio.Tree.Element e -> e.Xmlio.Tree.name :: acc | _ -> acc)
-      [] (Xmlio.Tree.of_string "<r><a><b/></a><c/></r>")
-  in
-  check (Alcotest.list Alcotest.string) "preorder" [ "c"; "b"; "a"; "r" ] names
+  check Alcotest.bool "reversed" true (rev t = expected)
 
 let test_tree_malformed () =
   (try
@@ -338,146 +340,14 @@ let test_dict () =
   check Alcotest.int "dense ids" 1 b;
   check Alcotest.int "idempotent" a (Xmlio.Dict.intern d "alpha");
   check Alcotest.string "lookup" "beta" (Xmlio.Dict.lookup d b);
-  check (Alcotest.option Alcotest.int) "find" (Some 0) (Xmlio.Dict.find d "alpha");
-  check (Alcotest.option Alcotest.int) "find missing" None (Xmlio.Dict.find d "gamma");
-  check Alcotest.int "size" 2 (Xmlio.Dict.size d);
   check (Alcotest.list Alcotest.string) "ordered" [ "alpha"; "beta" ] (Xmlio.Dict.to_list d);
   Alcotest.check_raises "unknown id" (Invalid_argument "Dict.lookup: unknown id 9") (fun () ->
       ignore (Xmlio.Dict.lookup d 9))
 
 (* ------------------------------------------------------------------ *)
-(* Dtd *)
-
-let company_dtd =
-  "<!ELEMENT company (region*)>\n\
-   <!ELEMENT region (branch*)>\n\
-   <!ELEMENT branch (employee*)>\n\
-   <!ELEMENT employee (name?, phone?, (salary, bonus)?)>\n\
-   <!ELEMENT name (#PCDATA)>\n\
-   <!ELEMENT phone (#PCDATA)>\n\
-   <!ELEMENT salary (#PCDATA)>\n\
-   <!ELEMENT bonus (#PCDATA)>\n\
-   <!-- attribute declarations -->\n\
-   <!ATTLIST region name CDATA #REQUIRED>\n\
-   <!ATTLIST branch name CDATA #REQUIRED>\n\
-   <!ATTLIST employee ID CDATA #REQUIRED status (active|retired) \"active\">"
-
-let test_dtd_parse () =
-  let dtd = Xmlio.Dtd.parse company_dtd in
-  check (Alcotest.list Alcotest.string) "elements"
-    [ "company"; "region"; "branch"; "employee"; "name"; "phone"; "salary"; "bonus" ]
-    (Xmlio.Dtd.element_names dtd);
-  (match Xmlio.Dtd.content_model dtd "employee" with
-  | Some (Xmlio.Dtd.Children _) -> ()
-  | _ -> Alcotest.fail "employee model");
-  (match Xmlio.Dtd.content_model dtd "name" with
-  | Some (Xmlio.Dtd.Mixed []) -> ()
-  | _ -> Alcotest.fail "name is #PCDATA");
-  let employee_attrs = Xmlio.Dtd.attributes dtd "employee" in
-  check Alcotest.int "employee attrs" 2 (List.length employee_attrs);
-  match employee_attrs with
-  | [ id; status ] ->
-      check Alcotest.string "ID" "ID" id.Xmlio.Dtd.att_name;
-      check Alcotest.bool "ID required" true (id.Xmlio.Dtd.att_default = Xmlio.Dtd.Required);
-      check Alcotest.bool "status enum" true
-        (status.Xmlio.Dtd.att_type = Xmlio.Dtd.Enum [ "active"; "retired" ])
-  | _ -> Alcotest.fail "attrs shape"
-
-let test_dtd_parse_models () =
-  let dtd =
-    Xmlio.Dtd.parse
-      "<!ELEMENT a EMPTY><!ELEMENT b ANY><!ELEMENT c (x, (y | z)+, w?)><!ELEMENT m (#PCDATA | x)*>"
-  in
-  check Alcotest.bool "empty" true (Xmlio.Dtd.content_model dtd "a" = Some Xmlio.Dtd.Empty);
-  check Alcotest.bool "any" true (Xmlio.Dtd.content_model dtd "b" = Some Xmlio.Dtd.Any);
-  check Alcotest.bool "mixed" true
-    (Xmlio.Dtd.content_model dtd "m" = Some (Xmlio.Dtd.Mixed [ "x" ]));
-  match Xmlio.Dtd.content_model dtd "c" with
-  | Some (Xmlio.Dtd.Children (Xmlio.Dtd.Seq [ _; Xmlio.Dtd.Plus _; Xmlio.Dtd.Opt _ ])) -> ()
-  | _ -> Alcotest.fail "model of c"
-
-let test_dtd_syntax_errors () =
-  List.iter
-    (fun bad ->
-      try
-        ignore (Xmlio.Dtd.parse bad);
-        Alcotest.fail ("expected Syntax_error for " ^ bad)
-      with Xmlio.Dtd.Syntax_error _ -> ())
-    [ "<!ELEMENT a"; "<!ELEMENT a (b,>"; "<!WHAT x>"; "<!ATTLIST a b>"; "<!ELEMENT a (b|c,d)>" ]
-
-let test_dtd_names_and_preload () =
-  let dtd = Xmlio.Dtd.parse company_dtd in
-  let names = Xmlio.Dtd.names dtd in
-  check Alcotest.bool "contains all" true
-    (List.for_all (fun n -> List.mem n names) [ "company"; "employee"; "ID"; "name"; "status" ]);
-  let dict = Xmlio.Dict.create () in
-  Xmlio.Dtd.preload dtd dict;
-  check Alcotest.int "dict preloaded" (List.length names) (Xmlio.Dict.size dict);
-  check (Alcotest.option Alcotest.int) "company is id 0" (Some 0) (Xmlio.Dict.find dict "company")
+(* Xpath *)
 
 let tree_of = Xmlio.Tree.of_string
-
-let test_dtd_validate_ok () =
-  let dtd = Xmlio.Dtd.parse company_dtd in
-  let doc =
-    tree_of
-      "<company><region name=\"AC\"><branch name=\"Durham\">\
-       <employee ID=\"323\"><name>Smith</name><phone>5552345</phone></employee>\
-       <employee ID=\"844\"><salary>45000</salary><bonus>5000</bonus></employee>\
-       </branch></region></company>"
-  in
-  check (Alcotest.list Alcotest.string) "valid" []
-    (List.map (fun v -> v.Xmlio.Dtd.message) (Xmlio.Dtd.validate dtd doc))
-
-let test_dtd_validate_violations () =
-  let dtd = Xmlio.Dtd.parse company_dtd in
-  let violations doc = List.length (Xmlio.Dtd.validate dtd (tree_of doc)) in
-  check Alcotest.bool "missing required attr" true
-    (violations "<company><region><branch name=\"x\"/></region></company>" > 0);
-  check Alcotest.bool "bad enum value" true
-    (violations
-       "<company><region name=\"a\"><branch name=\"b\">\
-        <employee ID=\"1\" status=\"fired\"/></branch></region></company>"
-    > 0);
-  check Alcotest.bool "content model violation (salary without bonus)" true
-    (violations
-       "<company><region name=\"a\"><branch name=\"b\">\
-        <employee ID=\"1\"><salary>1</salary></employee></branch></region></company>"
-    > 0);
-  check Alcotest.bool "undeclared element" true
-    (violations "<company><intruder/></company>" > 0);
-  check Alcotest.bool "text where children expected" true
-    (violations "<company>oops</company>" > 0)
-
-let test_dtd_validate_derivatives () =
-  (* exercise the derivative matcher on trickier models *)
-  let dtd = Xmlio.Dtd.parse "<!ELEMENT r ((a, b)+ | c)><!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>" in
-  let ok doc = Xmlio.Dtd.validate dtd (tree_of doc) = [] in
-  check Alcotest.bool "a b" true (ok "<r><a/><b/></r>");
-  check Alcotest.bool "a b a b" true (ok "<r><a/><b/><a/><b/></r>");
-  check Alcotest.bool "c" true (ok "<r><c/></r>");
-  check Alcotest.bool "a alone fails" false (ok "<r><a/></r>");
-  check Alcotest.bool "empty fails" false (ok "<r/>");
-  check Alcotest.bool "c after pair fails" false (ok "<r><a/><b/><c/></r>")
-
-let test_dtd_from_parser () =
-  let xml = "<!DOCTYPE r [ <!ELEMENT r (leaf*)> <!ELEMENT leaf EMPTY> ]><r><leaf/></r>" in
-  let p = Xmlio.Parser.of_string xml in
-  let events = Xmlio.Parser.to_list p in
-  check Alcotest.int "events" 4 (List.length events);
-  match Xmlio.Parser.doctype_subset p with
-  | None -> Alcotest.fail "expected a captured subset"
-  | Some subset ->
-      let dtd = Xmlio.Dtd.parse subset in
-      check (Alcotest.list Alcotest.string) "elements" [ "r"; "leaf" ]
-        (Xmlio.Dtd.element_names dtd);
-      check (Alcotest.list Alcotest.string) "document valid" []
-        (List.map
-           (fun v -> v.Xmlio.Dtd.message)
-           (Xmlio.Dtd.validate dtd (Xmlio.Tree.of_string xml)))
-
-(* ------------------------------------------------------------------ *)
-(* Xpath *)
 
 let company_doc =
   tree_of
@@ -641,7 +511,7 @@ let prop_tree_string_roundtrip =
   QCheck.Test.make ~name:"serialize+parse round-trips random trees" ~count:200 arb_tree (fun t ->
       let s = Xmlio.Tree.to_string t in
       let back = Xmlio.Tree.of_string ~keep_whitespace:true s in
-      Xmlio.Tree.equal (normalize t) back)
+      normalize t = back)
 
 (* The strong roundtrip property: [parse ∘ write ≡ id] over documents
    whose strings are deliberately hostile — every escapable character,
@@ -695,7 +565,7 @@ let prop_write_parse_identity =
     arb_hostile_tree (fun t ->
       let s = Xmlio.Writer.events_to_string (Xmlio.Tree.to_events t) in
       let back = Xmlio.Tree.of_string ~keep_whitespace:true s in
-      Xmlio.Tree.equal (normalize t) back)
+      normalize t = back)
 
 let prop_parser_never_crashes =
   (* fuzz: arbitrary bytes either parse or raise Parser.Error — never
@@ -765,6 +635,7 @@ let () =
           Alcotest.test_case "cdata" `Quick test_parse_cdata;
           Alcotest.test_case "comments and PIs" `Quick test_parse_comments_and_pis;
           Alcotest.test_case "doctype" `Quick test_parse_doctype;
+          Alcotest.test_case "doctype subset" `Quick test_parse_doctype_subset;
           Alcotest.test_case "whitespace dropped" `Quick test_parse_whitespace_dropped;
           Alcotest.test_case "whitespace kept" `Quick test_parse_whitespace_kept;
           Alcotest.test_case "peek and depth" `Quick test_parse_peek_and_depth;
@@ -786,21 +657,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_tree_roundtrip;
           Alcotest.test_case "stats" `Quick test_tree_stats;
           Alcotest.test_case "map_children" `Quick test_tree_map_children;
-          Alcotest.test_case "fold" `Quick test_tree_fold;
           Alcotest.test_case "malformed" `Quick test_tree_malformed;
         ] );
       ("dict", [ Alcotest.test_case "basics" `Quick test_dict ]);
-      ( "dtd",
-        [
-          Alcotest.test_case "parse" `Quick test_dtd_parse;
-          Alcotest.test_case "content models" `Quick test_dtd_parse_models;
-          Alcotest.test_case "syntax errors" `Quick test_dtd_syntax_errors;
-          Alcotest.test_case "names and preload" `Quick test_dtd_names_and_preload;
-          Alcotest.test_case "validate ok" `Quick test_dtd_validate_ok;
-          Alcotest.test_case "violations" `Quick test_dtd_validate_violations;
-          Alcotest.test_case "derivative matching" `Quick test_dtd_validate_derivatives;
-          Alcotest.test_case "from parser" `Quick test_dtd_from_parser;
-        ] );
       ( "xpath",
         [
           Alcotest.test_case "child steps" `Quick test_xpath_child_steps;
