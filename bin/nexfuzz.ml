@@ -30,8 +30,11 @@ type case_config = {
   cli_flags : string;  (* equivalent nexsort(1) flags, for the reproducer *)
 }
 
+(* the last entry keys elements by descendant paths over the tags
+   [Gen.pathological] emits, so same-tag nesting and partial matches reach
+   the streaming path evaluator *)
 let orderings =
-  [| "@id"; "tag"; "text"; "(@id;tag)"; "-@id" |]
+  [| "@id"; "tag"; "text"; "(@id;tag)"; "-@id"; "a/b,item=(-b/a;@id)" |]
 
 let differential_config ~seed i =
   let rng = Xmlgen.Splitmix.create (seed + (7919 * i)) in

@@ -36,8 +36,11 @@ let emit device metrics output gen =
     stats.Xmlgen.Gen.elements stats.Xmlgen.Gen.height stats.Xmlgen.Gen.bytes;
   `Ok ()
 
-let run seed avg_bytes height max_fanout max_elements fanouts company device metrics output =
+let run seed avg_bytes height max_fanout max_elements fanouts company pathological device metrics
+    output =
   match (company, fanouts) with
+  | _ when pathological ->
+      emit device metrics output (fun sink -> Xmlgen.Gen.pathological ~seed ~max_elements sink)
   | true, _ when device <> None ->
       `Error (false, "--device is not supported with --company")
   | true, _ ->
@@ -96,6 +99,13 @@ let cmd =
             value & flag
             & info [ "company" ]
                 ~doc:"Generate the Figure 1 personnel/payroll document pair instead.")
+        $ Arg.(
+            value & flag
+            & info [ "pathological" ]
+                ~doc:
+                  "Generate a fuzzing-style document instead: skewed fan-outs, deep \
+                   single-child chains, mixed content, escaped text and colliding ids, up to \
+                   $(b,--max-elements) elements.")
         $ Cli_common.device_term
         $ Cli_common.metrics_term
         $ Arg.(

@@ -76,15 +76,16 @@ let rec all_text (e : Xmlio.Tree.element) =
     e.Xmlio.Tree.children;
   Buffer.contents b
 
+(* the first element in document order reached by the path: every
+   same-named child is tried in turn, as XPath's [string(a/b)] does *)
 let rec find_path (e : Xmlio.Tree.element) = function
   | [] -> Some e
   | seg :: rest ->
-      let rec first = function
-        | [] -> None
-        | Xmlio.Tree.Element c :: _ when c.Xmlio.Tree.name = seg -> find_path c rest
-        | _ :: tl -> first tl
-      in
-      first e.Xmlio.Tree.children
+      List.find_map
+        (function
+          | Xmlio.Tree.Element c when c.Xmlio.Tree.name = seg -> find_path c rest
+          | Xmlio.Tree.Element _ | Xmlio.Tree.Text _ -> None)
+        e.Xmlio.Tree.children
 
 let rec key_of_tree_criterion criterion (e : Xmlio.Tree.element) =
   match criterion with
@@ -107,45 +108,70 @@ let key_of_tree t (e : Xmlio.Tree.element) = key_of_tree_criterion (criterion_fo
 (* ---- streaming evaluation ---- *)
 
 module Evaluator = struct
-  (* the state of one subtree-derived leaf criterion of one open element *)
+  module Vec = Extmem.Vec
+
+  (* one [By_path] criterion of one open element.  Depths are absolute
+     (the root element is at depth 1); the slot has matched
+     [d - base - 1] steps while it waits at depth [d], and captures text
+     while the element at depth [base + Array.length path] is open. *)
+  type path_slot = {
+    path : string array;
+    base : int; (* depth of the element whose key this is *)
+    mutable result : Buffer.t option;
+  }
+
+  (* the state of one leaf criterion of an element whose key is pending *)
   type slot =
     | Done of Key.t
     | Text_acc of Buffer.t
-    | Path_acc of {
-        path : string array;
-        mutable progress : int;
-        mutable capturing : bool;
-        mutable result : Buffer.t option;
-        mutable rel_depth : int;
-      }
+    | Path_acc of path_slot
 
-  type frame = {
-    shape : criterion;
-    slots : slot array; (* leaf slots, in the pre-order of [shape] *)
-  }
+  type frame =
+    | Keyed (* the key was delivered at the start tag *)
+    | Pending of {
+        shape : criterion;
+        slots : slot array; (* leaf slots, in the pre-order of [shape] *)
+      }
 
   type eval = {
     spec : t;
-    mutable frames : frame list; (* innermost first *)
+    frames : frame Vec.t; (* open elements, innermost last *)
+    waiting : path_slot list Vec.t;
+        (* [waiting.(d)]: unfinished path slots whose next step can only
+           match an element opened at depth [d] *)
+    capturing : path_slot Vec.t; (* slots whose target is open, innermost target last *)
   }
 
-  let create spec = { spec; frames = [] }
+  let create spec =
+    { spec; frames = Vec.create (); waiting = Vec.create (); capturing = Vec.create () }
 
-  let depth e = List.length e.frames
+  let waiting_at e d = if d < Vec.length e.waiting then Vec.get e.waiting d else []
 
-  (* allocate the leaf slots of a criterion, in pre-order *)
-  let slots_of criterion name lookup =
+  (* [w] has matched the steps down to depth [d - 1]: capture when that
+     completes its path, else wait for the next step at depth [d] *)
+  let place e w d =
+    if d - w.base - 1 = Array.length w.path then begin
+      w.result <- Some (Buffer.create 16);
+      Vec.push e.capturing w
+    end
+    else begin
+      while Vec.length e.waiting <= d do
+        Vec.push e.waiting []
+      done;
+      Vec.set e.waiting d (w :: Vec.get e.waiting d)
+    end
+
+  (* allocate the leaf slots of a pending criterion, in pre-order *)
+  let slots_of e depth criterion name lookup =
     let acc = ref [] in
     let rec go = function
       | (By_tag | By_attr _ | Document_order) as c ->
           acc := Done (Option.get (key_of_start_criterion c name lookup)) :: !acc
       | By_text -> acc := Text_acc (Buffer.create 16) :: !acc
       | By_path path ->
-          acc :=
-            Path_acc
-              { path = Array.of_list path; progress = 0; capturing = false; result = None;
-                rel_depth = 0 }
-            :: !acc
+          let w = { path = Array.of_list path; base = depth; result = None } in
+          place e w (depth + 1);
+          acc := Path_acc w :: !acc
       | Desc c -> go c
       | Composite l -> List.iter go l
     in
@@ -153,10 +179,10 @@ module Evaluator = struct
     Array.of_list (List.rev !acc)
 
   (* assemble the final key from the filled slots *)
-  let assemble frame =
+  let assemble shape slots =
     let idx = ref 0 in
     let next_slot () =
-      let s = frame.slots.(!idx) in
+      let s = slots.(!idx) in
       incr idx;
       s
     in
@@ -168,102 +194,78 @@ module Evaluator = struct
       | By_text -> (
           match next_slot () with
           | Text_acc b -> Key.of_string (Buffer.contents b)
-          | Done k -> k
-          | Path_acc _ -> assert false)
+          | Done _ | Path_acc _ -> assert false)
       | By_path _ -> (
           match next_slot () with
-          | Path_acc p -> (
-              match p.result with
-              | Some b -> Key.of_string (Buffer.contents b)
-              | None -> Key.Null)
-          | Done k -> k
-          | Text_acc _ -> assert false)
+          | Path_acc { result = Some b; _ } -> Key.of_string (Buffer.contents b)
+          | Path_acc { result = None; _ } -> Key.Null
+          | Done _ | Text_acc _ -> assert false)
       | Desc c -> Key.Rev (go c)
       | Composite l -> Key.Tuple (List.map go l)
     in
-    go frame.shape
-
-  let all_done frame =
-    Array.for_all (function Done _ -> true | Text_acc _ | Path_acc _ -> false) frame.slots
-
-  (* path-matching state updates for every live slot *)
-  let slots_on_start e name =
-    List.iter
-      (fun frame ->
-        Array.iter
-          (function
-            | Done _ | Text_acc _ -> ()
-            | Path_acc w ->
-                w.rel_depth <- w.rel_depth + 1;
-                if
-                  w.result = None && (not w.capturing)
-                  && w.rel_depth = w.progress + 1
-                  && w.progress < Array.length w.path
-                  && w.path.(w.progress) = name
-                then begin
-                  w.progress <- w.progress + 1;
-                  if w.progress = Array.length w.path then begin
-                    w.capturing <- true;
-                    w.result <- Some (Buffer.create 16)
-                  end
-                end)
-          frame.slots)
-      e.frames
-
-  let slots_on_end e =
-    List.iter
-      (fun frame ->
-        Array.iter
-          (function
-            | Done _ | Text_acc _ -> ()
-            | Path_acc w ->
-                if w.capturing && w.rel_depth = Array.length w.path then w.capturing <- false;
-                if w.rel_depth <= w.progress then w.progress <- w.rel_depth - 1;
-                if w.progress < 0 then w.progress <- 0;
-                w.rel_depth <- w.rel_depth - 1)
-          frame.slots)
-      e.frames
+    go shape
 
   let on_start_lookup e name lookup =
-    slots_on_start e name;
+    let depth = Vec.length e.frames + 1 in
+    (* advance the slots waiting for a step at this depth *)
+    (match waiting_at e depth with
+    | [] -> ()
+    | ws ->
+        Vec.set e.waiting depth [];
+        List.iter
+          (fun w -> place e w (if w.path.(depth - w.base - 1) = name then depth + 1 else depth))
+          ws);
     let shape = criterion_for e.spec name in
-    let frame = { shape; slots = slots_of shape name lookup } in
-    e.frames <- frame :: e.frames;
-    if all_done frame then Some (assemble frame) else None
+    match key_of_start_criterion shape name lookup with
+    | Some _ as key ->
+        Vec.push e.frames Keyed;
+        key
+    | None ->
+        Vec.push e.frames (Pending { shape; slots = slots_of e depth shape name lookup });
+        None
 
   let on_start e name attrs = on_start_lookup e name (fun a -> List.assoc_opt a attrs)
 
   let on_text e s =
     (* direct text feeds the innermost frame's text accumulators *)
-    (match e.frames with
-    | frame :: _ ->
-        Array.iter
-          (function
-            | Text_acc b -> Buffer.add_string b s
-            | Done _ | Path_acc _ -> ())
-          frame.slots
-    | [] -> ());
-    (* capturing path slots of any ancestor receive all text below target *)
-    List.iter
-      (fun frame ->
-        Array.iter
-          (function
-            | Path_acc w when w.capturing -> (
-                match w.result with
-                | Some b -> Buffer.add_string b s
-                | None -> ())
-            | Path_acc _ | Done _ | Text_acc _ -> ())
-          frame.slots)
-      e.frames
+    (if not (Vec.is_empty e.frames) then
+       match Vec.top e.frames with
+       | Keyed -> ()
+       | Pending { slots; _ } ->
+           for i = 0 to Array.length slots - 1 do
+             match slots.(i) with
+             | Text_acc b -> Buffer.add_string b s
+             | Done _ | Path_acc _ -> ()
+           done);
+    (* every capturing slot receives all text below its target *)
+    for i = 0 to Vec.length e.capturing - 1 do
+      match (Vec.get e.capturing i).result with
+      | Some b -> Buffer.add_string b s
+      | None -> ()
+    done
 
   let on_end e =
-    match e.frames with
-    | [] -> invalid_arg "Ordering.Evaluator.on_end: no open element"
-    | frame :: rest ->
-        e.frames <- rest;
-        slots_on_end e;
-        if all_done frame then None (* the key was already delivered at the start tag *)
-        else Some (assemble frame)
+    let depth = Vec.length e.frames in
+    if depth = 0 then invalid_arg "Ordering.Evaluator.on_end: no open element";
+    let frame = Vec.pop e.frames in
+    (* captures whose target is the closing element end here *)
+    while
+      (not (Vec.is_empty e.capturing))
+      && (let w = Vec.top e.capturing in
+          w.base + Array.length w.path = depth)
+    do
+      ignore (Vec.pop e.capturing)
+    done;
+    (* slots that matched a step through the closing element fall back to
+       waiting at its depth; the closing element's own slots are dropped *)
+    (match waiting_at e (depth + 1) with
+    | [] -> ()
+    | ws ->
+        Vec.set e.waiting (depth + 1) [];
+        List.iter (fun w -> if w.base < depth then place e w depth) ws);
+    match frame with
+    | Keyed -> None
+    | Pending { shape; slots } -> Some (assemble shape slots)
 end
 
 let rec pp_criterion ppf = function

@@ -22,9 +22,11 @@ type criterion =
   | By_attr of string (** value of the named attribute, [Null] if absent *)
   | By_text           (** concatenated direct text children of the element *)
   | By_path of string list
-      (** text content of the first descendant reached by the given tag
-          path (e.g. [["personalInfo"; "name"]]), [Null] when
-          no such descendant exists *)
+      (** all text below the first descendant, in document order, reached
+          by the given tag path (e.g. [["personalInfo"; "name"]]): every
+          same-named child is tried in turn, as XPath's [string(a/b)]
+          does, so a first [a] without a [b] child does not hide a later
+          [a/b].  [Null] when no such descendant exists *)
   | Document_order    (** key [Null]: keep siblings in document order *)
   | Composite of criterion list
       (** lexicographic compound key — the recursively-defined orderings
@@ -72,7 +74,14 @@ val key_of_tree : t -> Xmlio.Tree.element -> Key.t
     scan-evaluable criteria, at the end tag for subtree criteria.  This is
     the implementation of §3.2's path-stack augmentation — the per-open-
     element expression state lives alongside the path stack (O(height)
-    small values). *)
+    small values).
+
+    Each event costs only the work of the criteria that can act at its
+    depth, whatever the depth: unfinished path criteria wait in a bucket
+    indexed by the depth at which their next step can match, and text
+    reaches only the innermost element and the paths currently
+    capturing.  Under scan-evaluable orderings an event touches no
+    expression state at all. *)
 
 module Evaluator : sig
   type eval
@@ -93,8 +102,6 @@ module Evaluator : sig
   val on_end : eval -> Key.t option
   (** Close the innermost element.  [Some key] iff its criterion is a
       subtree criterion. *)
-
-  val depth : eval -> int
 end
 
 val pp_criterion : Format.formatter -> criterion -> unit

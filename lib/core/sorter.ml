@@ -37,15 +37,18 @@ type report = {
 (* ---- path-stack frames ----
 
    One frame per open element: where its entries begin on the data stack,
-   its identity for tiebreaks, its key when scan-evaluable, and the ids of
-   any incomplete sorted runs (fragments) created for it. *)
+   its identity for tiebreaks, its key when scan-evaluable, and how many
+   incomplete sorted runs (fragments) were created for it.  Fragments are
+   only written for the innermost open element, so the ids of every open
+   element's fragments form a stack of their own ([frag_ids]) and a frame
+   stays the same size however many fragments its element has. *)
 type frame = {
   loc : int;           (* data-stack position of the element's Start entry *)
   children_loc : int;  (* data-stack position just after the Start entry *)
   fpos : int;          (* document position *)
   flevel : int;        (* level, root = 1 *)
   fkey : Key.t option; (* key when the criterion is scan-evaluable *)
-  frags : int list;    (* fragment run ids, in creation order *)
+  nfrags : int;        (* its fragment runs: the top [nfrags] of [frag_ids] *)
 }
 
 let encode_frame f =
@@ -55,8 +58,7 @@ let encode_frame f =
   Extmem.Codec.put_varint buf f.fpos;
   Extmem.Codec.put_varint buf f.flevel;
   Key.encode_opt buf f.fkey;
-  Extmem.Codec.put_varint buf (List.length f.frags);
-  List.iter (Extmem.Codec.put_varint buf) f.frags;
+  Extmem.Codec.put_varint buf f.nfrags;
   Buffer.contents buf
 
 let decode_frame s =
@@ -66,9 +68,8 @@ let decode_frame s =
   let fpos = Extmem.Codec.get_varint c in
   let flevel = Extmem.Codec.get_varint c in
   let fkey = Key.decode_opt c in
-  let n = Extmem.Codec.get_varint c in
-  let rec ids n acc = if n = 0 then List.rev acc else ids (n - 1) (Extmem.Codec.get_varint c :: acc) in
-  { loc; children_loc; fpos; flevel; fkey; frags = ids n [] }
+  let nfrags = Extmem.Codec.get_varint c in
+  { loc; children_loc; fpos; flevel; fkey; nfrags }
 
 (* ---- output-location stack entries (Figure 4, lines 13-20) ---- *)
 
@@ -90,6 +91,7 @@ type state = {
   session : Session.t;
   scan_evaluable : bool;
   evaluator : Ordering.Evaluator.eval;
+  frag_ids : int Extmem.Vec.t; (* fragment run ids of the open elements, innermost last *)
   mutable pos : int;
   mutable level : int;
   mutable n_events : int;
@@ -171,7 +173,8 @@ let maybe_degenerate st =
             region);
       Extmem.Ext_stack.truncate_to st.session.Session.data_stack top.children_loc;
       ignore (pop_frame st);
-      push_frame st { top with frags = top.frags @ [ frag ] };
+      Extmem.Vec.push st.frag_ids frag;
+      push_frame st { top with nfrags = top.nfrags + 1 };
       st.n_fragment_runs <- st.n_fragment_runs + 1
     end
     end
@@ -242,6 +245,21 @@ let collapse_copy st frame resolved_key =
   push_data st
     (Entry.Run_ptr { level = frame.flevel; pos = frame.fpos; key = resolved_key; run; bytes = size })
 
+(* The innermost frame's fragment runs, taken off [frag_ids], plus one
+   more for the children that arrived after its last fragment. *)
+let take_fragments st frame =
+  let base = Extmem.Vec.length st.frag_ids - frame.nfrags in
+  let ids = List.init frame.nfrags (fun i -> Extmem.Vec.get st.frag_ids (base + i)) in
+  Extmem.Vec.truncate st.frag_ids base;
+  match collect_views st ~from_:frame.children_loc with
+  | [] -> ids
+  | tail ->
+      let forest =
+        Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
+      in
+      st.n_fragment_runs <- st.n_fragment_runs + 1;
+      ids @ [ Subtree_sort.write_fragment st.session forest ]
+
 (* Root fusion: the root's final sort/merge is opened as a pull stream
    (saves writing and re-reading the whole document once); the output
    phase pulls it straight into the XML writer.  The stream is built
@@ -251,18 +269,8 @@ let open_root_source st frame =
   in_span st "root_sort" @@ fun () ->
   let data = st.session.Session.data_stack in
   let result =
-    if frame.frags <> [] then begin
-      let tail = collect_views st ~from_:frame.children_loc in
-      let fragments =
-        if tail = [] then frame.frags
-        else begin
-          let forest =
-            Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
-          in
-          st.n_fragment_runs <- st.n_fragment_runs + 1;
-          frame.frags @ [ Subtree_sort.write_fragment st.session forest ]
-        end
-      in
+    if frame.nfrags > 0 then begin
+      let fragments = take_fragments st frame in
       let start_view =
         match Extmem.Ext_stack.cursor_from data ~pos:frame.loc () with
         | Some payload -> Entry.View.of_payload payload
@@ -297,17 +305,7 @@ let collapse_fragments st frame resolved_key =
   in_span st "fragment_merge" @@ fun () ->
   let data = st.session.Session.data_stack in
   let size = Extmem.Ext_stack.length data - frame.loc in
-  let tail = collect_views st ~from_:frame.children_loc in
-  let fragments =
-    if tail = [] then frame.frags
-    else begin
-      let forest =
-        Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
-      in
-      st.n_fragment_runs <- st.n_fragment_runs + 1;
-      frame.frags @ [ Subtree_sort.write_fragment st.session forest ]
-    end
-  in
+  let fragments = take_fragments st frame in
   (* the element's own Start entry is the first entry at frame.loc *)
   let start_view =
     match Extmem.Ext_stack.cursor_from data ~pos:frame.loc () with
@@ -343,7 +341,7 @@ let on_start st (p : Xmlio.Event.packed) =
       fpos = st.pos;
       flevel = st.level;
       fkey = key;
-      frags = [];
+      nfrags = 0;
     };
   maybe_degenerate st
 
@@ -367,7 +365,7 @@ let on_end st =
   in
   if frame.flevel = 1 then st.root <- Some (open_root_source st frame)
   else begin
-    if frame.frags <> [] then collapse_fragments st frame resolved_key
+    if frame.nfrags > 0 then collapse_fragments st frame resolved_key
     else begin
       push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
       let size = Extmem.Ext_stack.length st.session.Session.data_stack - frame.loc in
@@ -500,6 +498,7 @@ let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
       session;
       scan_evaluable = Ordering.all_scan_evaluable ordering;
       evaluator = Ordering.Evaluator.create ordering;
+      frag_ids = Extmem.Vec.create ();
       pos = 0;
       level = 0;
       n_events = 0;

@@ -194,60 +194,53 @@ let reserve_clamped (session : Session.t) ~who n =
 (* Chunk-level pull merge of fragment runs.  [keep_headers] preserves
    chunk headers (intermediate passes); the final pass drops them. *)
 let fragment_batch_pull (session : Session.t) ~keep_headers ~fragments =
+  (* each reader's next chunk header; readers that have one wait in a
+     heap ordered by (key, pos, reader index) for stability *)
+  let heads = Array.make (List.length fragments) (Key.Null, 0) in
+  let less i j =
+    let ki, pi = heads.(i) and kj, pj = heads.(j) in
+    let c = Key.compare ki kj in
+    c < 0 || (c = 0 && (pi < pj || (pi = pj && i < j)))
+  in
+  let waiting = Extsort.Heap.create ~less in
+  let wait i header =
+    heads.(i) <- decode_header header;
+    Extsort.Heap.push waiting i
+  in
   let readers =
-    List.map
-      (fun id ->
-        let r = Extmem.Run_store.open_run session.Session.runs id in
-        let first = Extmem.Block_reader.read_record r in
-        (r, ref first))
-      fragments
+    Array.of_list
+      (List.mapi
+         (fun i id ->
+           let r = Extmem.Run_store.open_run session.Session.runs id in
+           (match Extmem.Block_reader.read_record r with
+           | Some h when is_header h -> wait i h
+           | Some _ -> raise (Extmem.Codec.Corrupt "fragment run does not start with a header")
+           | None -> ());
+           r)
+         fragments)
   in
-  (* sorted work list keyed by (key, pos, reader index) for stability *)
-  let items : (Key.t * int * int) list ref = ref [] in
-  let insert ((k, p, i) as item) =
-    let rec ins = function
-      | [] -> [ item ]
-      | (k', p', i') :: _ as l
-        when Key.compare k k' < 0
-             || (Key.compare k k' = 0 && (p < p' || (p = p' && i < i'))) -> item :: l
-      | x :: rest -> x :: ins rest
-    in
-    items := ins !items
-  in
-  let readers = Array.of_list readers in
-  Array.iteri
-    (fun i (_, pending) ->
-      match !pending with
-      | Some h when is_header h ->
-          let k, p = decode_header h in
-          insert (k, p, i)
-      | Some _ -> raise (Extmem.Codec.Corrupt "fragment run does not start with a header")
-      | None -> ())
-    readers;
-  let current = ref None in (* reader whose chunk is being copied *)
+  let current = ref (-1) in (* reader whose chunk is being copied *)
   let rec pull () =
-    match !current with
-    | Some i -> (
-        let r, pending = readers.(i) in
-        match Extmem.Block_reader.read_record r with
-        | None ->
-            pending := None;
-            current := None;
-            pull ()
-        | Some rec_ when is_header rec_ ->
-            pending := Some rec_;
-            let k', p' = decode_header rec_ in
-            insert (k', p', i);
-            current := None;
-            pull ()
-        | Some rec_ -> Some rec_)
-    | None -> (
-        match !items with
-        | [] -> None
-        | (k, p, i) :: rest ->
-            items := rest;
-            current := Some i;
-            if keep_headers then Some (encode_header k p) else pull ())
+    if !current >= 0 then
+      match Extmem.Block_reader.read_record readers.(!current) with
+      | None ->
+          current := -1;
+          pull ()
+      | Some rec_ when is_header rec_ ->
+          wait !current rec_;
+          current := -1;
+          pull ()
+      | Some _ as r -> r
+    else if Extsort.Heap.is_empty waiting then None
+    else begin
+      let i = Extsort.Heap.pop waiting in
+      current := i;
+      if keep_headers then begin
+        let k, p = heads.(i) in
+        Some (encode_header k p)
+      end
+      else pull ()
+    end
   in
   pull
 

@@ -1,7 +1,7 @@
 (** Binary min-heaps with a caller-supplied strict order.
 
-    Shared by the k-way merge (tournament over run heads) and
-    replacement-selection run formation. *)
+    Shared by the k-way merge (tournament over run heads) and NEXSORT's
+    fragment merge (over chunk headers). *)
 
 type 'a t
 

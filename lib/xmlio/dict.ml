@@ -120,5 +120,3 @@ let lookup d id =
       if id < 0 || id >= Extmem.Vec.length d.by_id then
         invalid_arg (Printf.sprintf "Dict.lookup: unknown id %d" id);
       Extmem.Vec.get d.by_id id)
-
-let to_list d = Mutex.protect d.lock (fun () -> Extmem.Vec.to_list d.by_id)

@@ -21,6 +21,3 @@ val intern_bytes : t -> bytes -> int -> int -> int * string
 
 val lookup : t -> int -> string
 (** The string behind an id.  @raise Invalid_argument on unknown ids. *)
-
-val to_list : t -> string list
-(** All interned strings in id order. *)

@@ -60,29 +60,3 @@ let to_events t =
   List.rev (go [] t)
 
 let to_string ?decl ?indent t = Writer.events_to_string ?decl ?indent (to_events t)
-
-let rec size = function
-  | Text _ -> 1
-  | Element { children; _ } -> List.fold_left (fun acc c -> acc + size c) 1 children
-
-let rec element_count = function
-  | Text _ -> 0
-  | Element { children; _ } -> List.fold_left (fun acc c -> acc + element_count c) 1 children
-
-let rec height = function
-  | Text _ -> 0
-  | Element { children; _ } -> 1 + List.fold_left (fun acc c -> max acc (height c)) 0 children
-
-let rec max_fanout = function
-  | Text _ -> 0
-  | Element { children; _ } ->
-      List.fold_left (fun acc c -> max acc (max_fanout c)) (List.length children) children
-
-let rec map_children f = function
-  | Text _ as t -> t
-  | Element e ->
-      let children = List.map (map_children f) e.children in
-      let e = { e with children } in
-      Element { e with children = f e }
-
-let pp ppf t = Format.pp_print_string ppf (to_string ~indent:true t)

@@ -34,24 +34,3 @@ val of_string : ?keep_whitespace:bool -> string -> t
 val to_events : t -> Event.t list
 
 val to_string : ?decl:bool -> ?indent:bool -> t -> string
-
-val size : t -> int
-(** Number of nodes (elements and text nodes), the paper's [N]. *)
-
-val element_count : t -> int
-(** Number of element nodes only. *)
-
-val height : t -> int
-(** Levels of elements: a single element is height 1; text nodes do not
-    add a level. *)
-
-val max_fanout : t -> int
-(** Maximum number of children (elements and text nodes) over all
-    elements, the paper's [k]. *)
-
-val map_children : (element -> t list) -> t -> t
-(** Rebuild the tree bottom-up, replacing every element's child list with
-    the function's result (applied to the element whose children have
-    already been rewritten). *)
-
-val pp : Format.formatter -> t -> unit

@@ -92,6 +92,49 @@ for needle in input_scan subtree_sorts output; do
     echo "trace smoke: missing \"$needle\" in nextrace output" >&2; exit 1; }
 done
 
+# Shape-scaling gate: the cost of an event must not grow with the
+# document's shape.  Each shape is sorted at 1x and 4x its size, and
+# gc.minor_words per event (an exact count, not a timing) at 4x may
+# exceed 1x by at most SLACK percent.  One text node is three events at
+# any length, so that shape is measured per input byte instead.  The
+# chain runs twice: under @id, where no element has a path criterion,
+# and under a path ordering, whose slots wait at every depth.
+SLACK=2
+shape_doc() { # SHAPE N FILE
+  case $1 in
+    chain) awk -v n="$2" 'BEGIN { for (i = 0; i < n; i++) printf "<a>"; printf "x";
+             for (i = 0; i < n; i++) printf "</a>"; print "" }' > "$3" ;;
+    star) awk -v n="$2" 'BEGIN { printf "<r>";
+            for (i = 0; i < n; i++) printf "<a id=\"%d\"/>", (i * 7919) % n; print "</r>" }' > "$3" ;;
+    text) awk -v n="$2" 'BEGIN { s = "0123456789abcdef"; while (length(s) < 4096) s = s s;
+            printf "<r>"; for (i = 0; i < n; i += 4096) printf "%s", s; print "</r>" }' > "$3" ;;
+    pathological) dune exec bin/xmlgen_cli.exe -- --pathological --seed 2 --max-elements "$2" \
+                    -o "$3" 2> /dev/null ;;
+  esac
+}
+shape_cost() { # SHAPE N ORDERING: minor words per event (per byte for text)
+  shape_doc "$1" "$2" /tmp/shape.xml
+  dune exec bin/nexsort_cli.exe -- -B 4096 -M 32 -O "$3" --metrics /tmp/shape.json \
+    -o /tmp/shape.out.xml /tmp/shape.xml
+  if [ "$1" = text ]; then
+    echo "$(grep -o '"minor_words": *[0-9]*' /tmp/shape.json | awk -F: '{ print $2 }')" \
+      "$(wc -c < /tmp/shape.xml)" | awk '{ print $1 / $2 }'
+  else
+    grep -o '"minor_words_per_event": *[0-9.e+-]*' /tmp/shape.json | awk -F: '{ print $2 + 0 }'
+  fi
+}
+for shape in "chain 10000 @id" "star 75000 @id" "text 2097152 @id" \
+             "pathological 20000 @id" "chain 10000 a=a/b,@id"; do
+  set -- $shape
+  w1=$(shape_cost "$1" "$2" "$3")
+  w4=$(shape_cost "$1" $(($2 * 4)) "$3")
+  awk -v s="$1 -O $3" -v a="$w1" -v b="$w4" -v k="$SLACK" 'BEGIN {
+    printf "shape gate: %s: %.1f -> %.1f minor words per %s (%+.2f%%)\n", s, a, b,
+      (s ~ /^text/ ? "byte" : "event"), 100 * (b - a) / a;
+    exit !(b <= a * (1 + k / 100)) }' || {
+    echo "shape gate: $1 costs more per event at 4x than at 1x (slack $SLACK%)" >&2; exit 1; }
+done
+
 # Wall-clock gate (bechamel): deliberately loose — fail only on a > 3x
 # slowdown against the committed baseline.  Absolute times are noisy;
 # the I/O-counter gates above are the precise regression signal.

@@ -11,7 +11,7 @@ module Key = Nexsort.Key
 module Ordering = Nexsort.Ordering
 module Config = Nexsort.Config
 
-let tree_eq = Alcotest.testable Xmlio.Tree.pp ( = )
+let tree_eq = Tree_util.testable
 
 let parse = Xmlio.Tree.of_string
 
@@ -75,41 +75,44 @@ let test_ordering_key_of_tree () =
   check Alcotest.bool "doc order" true
     (Ordering.key_of_tree Ordering.document_order e = Key.Null)
 
-(* streaming evaluator agrees with the tree oracle on every element *)
-let evaluator_vs_oracle ordering xml =
-  let tree = parse xml in
+(* the streaming evaluator's key for every element, in pre-order *)
+let streamed_keys ordering tree =
   let evaluator = Ordering.Evaluator.create ordering in
-  let expected = ref [] in
-  let rec collect = function
-    | Xmlio.Tree.Text _ -> ()
-    | Xmlio.Tree.Element e ->
-        expected := Ordering.key_of_tree ordering e :: !expected;
-        List.iter collect e.Xmlio.Tree.children
-  in
-  collect tree;
-  let got = ref [] in
-  let stack = ref [] in
+  let keys = ref [] (* (pre-order index, key), in closing order *) in
+  let next = ref 0 in
   let rec walk = function
     | Xmlio.Tree.Text s -> Ordering.Evaluator.on_text evaluator s
     | Xmlio.Tree.Element e ->
+        let i = !next in
+        incr next;
         let at_start = Ordering.Evaluator.on_start evaluator e.Xmlio.Tree.name e.Xmlio.Tree.attrs in
-        stack := at_start :: !stack;
         List.iter walk e.Xmlio.Tree.children;
-        let at_end = Ordering.Evaluator.on_end evaluator in
-        (match (!stack, at_end) with
-        | Some k :: rest, None ->
-            got := k :: !got;
-            stack := rest
-        | None :: rest, Some k ->
-            got := k :: !got;
-            stack := rest
-        | _ -> Alcotest.fail "evaluator produced the key at the wrong moment")
+        let key =
+          match (at_start, Ordering.Evaluator.on_end evaluator) with
+          | Some k, None | None, Some k -> k
+          | _ -> failwith "evaluator produced the key at the wrong moment"
+        in
+        keys := (i, key) :: !keys
   in
   walk tree;
-  (* both lists were collected in different orders; compare as multisets of
-     strings (keys may repeat) *)
-  let canon l = List.sort compare (List.map Key.to_string l) in
-  check (Alcotest.list Alcotest.string) ("evaluator keys for " ^ xml) (canon !expected) (canon !got)
+  List.map snd (List.sort (fun (i, _) (j, _) -> compare i j) !keys)
+
+(* the tree oracle's key for every element, in pre-order *)
+let oracle_keys ordering tree =
+  let rec go acc = function
+    | Xmlio.Tree.Text _ -> acc
+    | Xmlio.Tree.Element e ->
+        List.fold_left go (Ordering.key_of_tree ordering e :: acc) e.Xmlio.Tree.children
+  in
+  List.rev (go [] tree)
+
+let key_t = Alcotest.testable (fun ppf k -> Format.pp_print_string ppf (Key.to_string k)) Key.equal
+
+(* streaming evaluator agrees with the tree oracle on every element *)
+let evaluator_vs_oracle ordering xml =
+  let tree = parse xml in
+  check (Alcotest.list key_t) ("evaluator keys for " ^ xml) (oracle_keys ordering tree)
+    (streamed_keys ordering tree)
 
 let test_evaluator_scan () =
   evaluator_vs_oracle (Ordering.by_attr "id") "<r id=\"1\"><a id=\"3\"/><b id=\"2\"/></r>";
@@ -130,6 +133,19 @@ let test_evaluator_by_path () =
   evaluator_vs_oracle
     (Ordering.make ~rules:[ ("e", Ordering.By_path [ "p" ]) ] Ordering.By_tag)
     "<r><e><p>outer</p><e><p>inner</p></e></e></r>"
+
+(* a first [a] without a [b] child must not hide a later [a/b]: the key
+   is the first match in document order, in the oracle as in the scan *)
+let test_path_first_match_in_document_order () =
+  let ordering = Ordering.of_spec_string "e=a/b,doc" in
+  let xml = "<r><e><a><c/></a><a><b>z</b></a></e><e><a><b>m</b></a></e></r>" in
+  evaluator_vs_oracle ordering xml;
+  let expected = Verify.Oracle.sort_string ordering xml in
+  check tree_eq "m before z"
+    (parse "<r><e><a><b>m</b></a></e><e><a><c/></a><a><b>z</b></a></e></r>")
+    (parse expected);
+  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering xml in
+  check Alcotest.string "NEXSORT = oracle" expected sorted
 
 let test_key_compound () =
   let lt a b = Key.compare a b < 0 in
@@ -689,7 +705,7 @@ let test_adversarial_shape () =
   in
   walk t;
   check Alcotest.bool "at most one exceptional fan-out" true (!exceptions <= 1);
-  check Alcotest.int "max fanout is k" 5 (Xmlio.Tree.max_fanout t)
+  check Alcotest.int "max fanout is k" 5 (Tree_util.max_fanout t)
 
 let test_adversarial_sorts_correctly () =
   let xml, _ =
@@ -873,7 +889,7 @@ let prop_xsort_does_less_than_nexsort =
       &&
       (* and XSort preserves the document everywhere else: same multiset of
          elements *)
-      Xmlio.Tree.element_count (parse xs) = Xmlio.Tree.element_count (parse xml))
+      Tree_util.element_count (parse xs) = Tree_util.element_count (parse xml))
 
 (* ------------------------------------------------------------------ *)
 (* Tree_sort oracle self-checks *)
@@ -957,6 +973,67 @@ let prop_subtree_ordering_equals_oracle =
       let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering xml in
       Baselines.Tree_sort.sort_tree ordering (parse xml) = parse sorted)
 
+(* Documents over a three-tag alphabet, so same-tag elements nest and
+   paths often match partway and then fail; orderings mix path, text,
+   compound and descending criteria over the same tags. *)
+let path_tags = [| "a"; "b"; "c" |]
+
+let gen_path_doc =
+  let open QCheck.Gen in
+  let text = map (fun i -> Xmlio.Tree.Text (string_of_int i)) (int_bound 30) in
+  let rec node depth =
+    let* name = oneofa path_tags in
+    let* id = int_bound 9 in
+    let* n = if depth >= 7 then return 0 else int_bound 3 in
+    let+ children = list_repeat n (frequency [ (1, text); (3, node (depth + 1)) ]) in
+    Xmlio.Tree.Element { name; attrs = [ ("id", string_of_int id) ]; children }
+  in
+  node 1
+
+let gen_criterion =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map (fun p -> Ordering.By_path p) (list_size (int_range 1 3) (oneofa path_tags)));
+        (2, return Ordering.By_text);
+        (1, return Ordering.By_tag);
+        (1, return (Ordering.By_attr "id"));
+        (1, return Ordering.Document_order);
+      ]
+  in
+  frequency
+    [
+      (4, leaf);
+      (1, map (fun c -> Ordering.Desc c) leaf);
+      (1, map2 (fun c d -> Ordering.Composite [ c; Ordering.Desc d ]) leaf leaf);
+    ]
+
+let arb_path_case =
+  let open QCheck.Gen in
+  let gen =
+    let* default = gen_criterion in
+    let* rules =
+      flatten_l
+        (List.map
+           (fun tag -> map (Option.map (fun c -> (tag, c))) (opt gen_criterion))
+           (Array.to_list path_tags))
+    in
+    let+ doc = gen_path_doc in
+    ((List.filter_map Fun.id rules, default), doc)
+  in
+  let rule (tag, c) = Format.asprintf "%s=%a" tag Ordering.pp_criterion c in
+  QCheck.make gen ~print:(fun ((rules, default), doc) ->
+      Format.asprintf "%a %s -- %s" Ordering.pp_criterion default
+        (String.concat " " (List.map rule rules))
+        (Xmlio.Tree.to_string doc))
+
+let prop_evaluator_equals_key_of_tree =
+  QCheck.Test.make ~name:"streaming evaluator keys = key_of_tree keys" ~count:300 arb_path_case
+    (fun ((rules, default), doc) ->
+      let ordering = Ordering.make ~rules default in
+      List.equal Key.equal (oracle_keys ordering doc) (streamed_keys ordering doc))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -974,6 +1051,9 @@ let () =
           Alcotest.test_case "evaluator scan" `Quick test_evaluator_scan;
           Alcotest.test_case "evaluator by_text" `Quick test_evaluator_by_text;
           Alcotest.test_case "evaluator by_path" `Quick test_evaluator_by_path;
+          Alcotest.test_case "path: first match in document order" `Quick
+            test_path_first_match_in_document_order;
+          qcheck prop_evaluator_equals_key_of_tree;
           Alcotest.test_case "compound keys" `Quick test_key_compound;
           Alcotest.test_case "composite and desc" `Quick test_ordering_composite_and_desc;
           Alcotest.test_case "composite with subtree part" `Quick test_ordering_composite_subtree;

@@ -90,6 +90,31 @@ let test_validator_finding_paths_deep () =
     "finding paths" [ "r/a/b/c"; "r/a/d" ]
     (List.map (fun f -> f.Validator.path) rep.Validator.findings)
 
+(* a 20k-deep chain with one mis-ordered sibling pair at the bottom: the
+   validator's per-event cost must not grow with depth, under a keyed
+   and a path ordering alike *)
+let test_validator_deep_chain () =
+  let n = 20_000 in
+  let input =
+    String.concat ""
+      [ String.concat "" (List.init n (fun i -> Printf.sprintf {|<a id="%d">|} i));
+        {|<b id="2">y</b><b id="1">x</b>|}; String.concat "" (List.init n (fun _ -> "</a>")) ]
+  in
+  let config = Nexsort.Config.make ~block_size:4096 ~memory_blocks:32 () in
+  List.iter
+    (fun spec ->
+      let ordering = Ordering.of_spec_string spec in
+      let out, _ = Nexsort.Sorter.sort_string ~config ~ordering input in
+      (match Validator.check ~ordering ~input out with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: sorted chain rejected: %s" spec e);
+      let rep = Validator.of_string ~ordering out in
+      check Alcotest.int (spec ^ ": no findings") 0 (List.length rep.Validator.findings);
+      check Alcotest.int64 (spec ^ ": digest") (Validator.digest_of_string input)
+        rep.Validator.digest;
+      check Alcotest.int (spec ^ ": every element") (n + 2) rep.Validator.elements)
+    [ "@id"; "a=a/b,@id" ]
+
 (* plain substring search, no extra deps *)
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -201,6 +226,7 @@ let () =
           Alcotest.test_case "self test" `Quick test_validator_self_test;
           Alcotest.test_case "flags mis-sort" `Quick test_validator_flags_missort;
           Alcotest.test_case "finding paths deep" `Quick test_validator_finding_paths_deep;
+          Alcotest.test_case "20k-deep chain" `Quick test_validator_deep_chain;
           Alcotest.test_case "digest catches edit" `Quick test_validator_digest_catches_edit;
           Alcotest.test_case "rejects malformed" `Quick test_validator_rejects_malformed;
           Alcotest.test_case "text coalescing invariance" `Quick

@@ -8,7 +8,7 @@ let qcheck = QCheck_alcotest.to_alcotest
 module Key = Nexsort.Key
 module Ordering = Nexsort.Ordering
 
-let tree_eq = Alcotest.testable Xmlio.Tree.pp ( = )
+let tree_eq = Tree_util.testable
 
 let parse = Xmlio.Tree.of_string
 
@@ -382,7 +382,7 @@ let test_gen_exact_shape () =
   check Alcotest.int "elements 1+3+6" 10 stats.Xmlgen.Gen.elements;
   check Alcotest.int "height" 3 stats.Xmlgen.Gen.height;
   let t = parse s in
-  check Alcotest.int "tree agrees" 10 (Xmlio.Tree.element_count t);
+  check Alcotest.int "tree agrees" 10 (Tree_util.element_count t);
   check Alcotest.int "size formula" 10 (Xmlgen.Gen.exact_shape_size ~fanouts:[ 3; 2 ])
 
 let test_gen_exact_shape_table2 () =
@@ -398,8 +398,8 @@ let test_gen_random_shape_bounds () =
   in
   check Alcotest.bool "bounded" true (stats.Xmlgen.Gen.elements <= 200);
   let t = parse s in
-  check Alcotest.bool "height bounded" true (Xmlio.Tree.height t <= 4);
-  check Alcotest.int "element count agrees" stats.Xmlgen.Gen.elements (Xmlio.Tree.element_count t)
+  check Alcotest.bool "height bounded" true (Tree_util.height t <= 4);
+  check Alcotest.int "element count agrees" stats.Xmlgen.Gen.elements (Tree_util.element_count t)
 
 let test_gen_deterministic () =
   let a, _ = Xmlgen.Gen.to_string (fun s -> Xmlgen.Gen.random_shape ~seed:9 ~height:3 ~max_fanout:4 s) in
@@ -422,14 +422,14 @@ let test_gen_to_device () =
   let stats = Xmlgen.Gen.to_device dev (fun sink -> Xmlgen.Gen.exact_shape ~fanouts:[ 4 ] sink) in
   check Alcotest.int "bytes recorded" stats.Xmlgen.Gen.bytes (Extmem.Device.byte_length dev);
   let t = parse (Extmem.Device.contents dev) in
-  check Alcotest.int "parses" 5 (Xmlio.Tree.element_count t)
+  check Alcotest.int "parses" 5 (Tree_util.element_count t)
 
 let test_company_pair_mergeable () =
   let pair = Xmlgen.Company.generate ~seed:42 () in
   let t1 = parse pair.Xmlgen.Company.personnel in
   let t2 = parse pair.Xmlgen.Company.payroll in
-  check Alcotest.bool "d1 parses" true (Xmlio.Tree.element_count t1 > 5);
-  check Alcotest.bool "d2 parses" true (Xmlio.Tree.element_count t2 > 5);
+  check Alcotest.bool "d1 parses" true (Tree_util.element_count t1 > 5);
+  check Alcotest.bool "d2 parses" true (Tree_util.element_count t2 > 5);
   (* the documents are generated unsorted (that is the point) *)
   check Alcotest.bool "unsorted" true
     (not (Baselines.Tree_sort.sorted Xmlgen.Company.ordering t1)

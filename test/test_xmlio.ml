@@ -307,19 +307,6 @@ let test_tree_roundtrip () =
   let reparsed = Xmlio.Tree.of_string s in
   check Alcotest.bool "string roundtrip" true (sample_tree = reparsed)
 
-let test_tree_stats () =
-  check Alcotest.int "size" 11 (Xmlio.Tree.size sample_tree);
-  check Alcotest.int "element count" 9 (Xmlio.Tree.element_count sample_tree);
-  check Alcotest.int "height" 5 (Xmlio.Tree.height sample_tree);
-  check Alcotest.int "max fanout" 2 (Xmlio.Tree.max_fanout sample_tree)
-
-let test_tree_map_children () =
-  (* reverse every child list *)
-  let rev = Xmlio.Tree.map_children (fun e -> List.rev e.Xmlio.Tree.children) in
-  let t = Xmlio.Tree.of_string "<r><a/><b/><c><d/><e/></c></r>" in
-  let expected = Xmlio.Tree.of_string "<r><c><e/><d/></c><b/><a/></r>" in
-  check Alcotest.bool "reversed" true (rev t = expected)
-
 let test_tree_malformed () =
   (try
      ignore (Xmlio.Tree.of_events [ Xmlio.Event.Start ("a", []) ]);
@@ -340,7 +327,6 @@ let test_dict () =
   check Alcotest.int "dense ids" 1 b;
   check Alcotest.int "idempotent" a (Xmlio.Dict.intern d "alpha");
   check Alcotest.string "lookup" "beta" (Xmlio.Dict.lookup d b);
-  check (Alcotest.list Alcotest.string) "ordered" [ "alpha"; "beta" ] (Xmlio.Dict.to_list d);
   Alcotest.check_raises "unknown id" (Invalid_argument "Dict.lookup: unknown id 9") (fun () ->
       ignore (Xmlio.Dict.lookup d 9))
 
@@ -606,7 +592,7 @@ let prop_events_balanced =
       let starts =
         List.length (List.filter (function Xmlio.Event.Start _ -> true | _ -> false) evs)
       in
-      depth = 0 && starts = Xmlio.Tree.element_count t)
+      depth = 0 && starts = Tree_util.element_count t)
 
 (* ------------------------------------------------------------------ *)
 
@@ -655,8 +641,6 @@ let () =
       ( "tree",
         [
           Alcotest.test_case "roundtrip" `Quick test_tree_roundtrip;
-          Alcotest.test_case "stats" `Quick test_tree_stats;
-          Alcotest.test_case "map_children" `Quick test_tree_map_children;
           Alcotest.test_case "malformed" `Quick test_tree_malformed;
         ] );
       ("dict", [ Alcotest.test_case "basics" `Quick test_dict ]);
