@@ -441,14 +441,14 @@ let xsort () =
 
 (* ------------------------------------------------------------------ *)
 (* E-tenant: concurrent tenants through one engine — queue wait and
-   paging per tenant.  The engine budget admits two jobs at a time, so
+   I/O per tenant.  The engine budget admits two jobs at a time, so
    K tenants measure the admission queue, not just the sorter: every
    output is still byte-identical to the single-job run (asserted), the
    per-tenant I/O bill is identical, and the queue-wait column is where
    the contention shows. *)
 
 let tenants () =
-  heading "E-tenant / concurrent tenants: queue wait and hit ratio per tenant";
+  heading "E-tenant / concurrent tenants: queue wait and I/O per tenant";
   let doc, stats = fig5_doc () in
   subnote "input: %d elements; per-job memory 16 blocks of 1 KiB; engine fits 2 jobs"
     stats.Xmlgen.Gen.elements;
@@ -465,16 +465,7 @@ let tenants () =
             let report =
               Nexsort.sort_device ~session ~ordering ~input ~output ()
             in
-            let hits, misses =
-              List.fold_left
-                (fun (h, m) (_, o) ->
-                  (h + o.Extmem.Frame_arena.hits, m + o.Extmem.Frame_arena.misses))
-                (0, 0) report.Nexsort.arena
-            in
-            ( Engine.queue_wait_s job,
-              Extmem.Io_stats.total report.Nexsort.total_io,
-              hits,
-              misses ))
+            (Engine.queue_wait_s job, Extmem.Io_stats.total report.Nexsort.total_io))
       in
       let domains =
         List.init k (fun i ->
@@ -485,13 +476,8 @@ let tenants () =
       Engine.destroy eng;
       Printf.printf "%d tenants:\n" k;
       List.iter
-        (fun (tenant, (wait_s, io, hits, misses)) ->
-          let ratio =
-            if hits + misses = 0 then "    -"
-            else Printf.sprintf "%5.2f" (float_of_int hits /. float_of_int (hits + misses))
-          in
-          Printf.printf "  %-4s | wait %8.1fms | hit ratio %s | %8d io%s\n" tenant
-            (wait_s *. 1000.) ratio io
+        (fun (tenant, (wait_s, io)) ->
+          Printf.printf "  %-4s | wait %8.1fms | %8d io%s\n" tenant (wait_s *. 1000.) io
             (if io = reference.io then "" else "  <-- DIVERGES FROM SINGLE-JOB RUN");
           if io <> reference.io then exit 1)
         rows;
@@ -585,54 +571,6 @@ let ingest () =
     [ 1; 4; 16 ];
   if !failures > 0 then begin
     Printf.eprintf "ingest: %d batch size(s) failed the incremental-maintenance gate\n" !failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* P-sweep: frame replacement policies — identical output, different
-   paging.  The index B-tree's buffer pool of the indexed merge is the one
-   paged component, so it is what the sweep runs.  This is a CI gate
-   (scripts/check.sh runs it): any policy producing a different output
-   digest is a correctness bug in the frame arena, so the experiment
-   exits non-zero on a mismatch. *)
-
-let policy_sweep () =
-  heading "P-sweep / replacement policies: byte-identical output, different paging";
-  (* sized so the index outgrows its 8-frame pool and the policies
-     actually have to evict (and so diverge in their counters) *)
-  let employees = if !quick then 48 else 96 in
-  let pair =
-    Xmlgen.Company.generate ~seed:11 ~regions:6 ~branches_per_region:6
-      ~employees_per_branch:employees ()
-  in
-  subnote "indexed merge: company pair, %d employees/branch, 8-frame index pool" employees;
-  let runs =
-    List.map
-      (fun p ->
-        let out, r =
-          Xmerge.Indexed_merge.merge_strings ~policy:p ~ordering:Xmlgen.Company.ordering
-            pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll
-        in
-        ( p,
-          Digest.to_hex (Digest.string out),
-          Printf.sprintf "hits=%d misses=%d evictions=%d writebacks=%d"
-            r.Xmerge.Indexed_merge.pager_hits r.Xmerge.Indexed_merge.pager_misses
-            r.Xmerge.Indexed_merge.pager_evictions r.Xmerge.Indexed_merge.pager_writebacks ))
-      Extmem.Frame_arena.all_policies
-  in
-  let reference = match runs with (_, d, _) :: _ -> d | [] -> "" in
-  let mismatches = List.filter (fun (_, d, _) -> not (String.equal d reference)) runs in
-  List.iter
-    (fun (p, digest, detail) ->
-      Printf.printf "  %-8s %-5s : md5=%s  %s\n"
-        (Extmem.Frame_arena.policy_to_string p)
-        (if String.equal digest reference then "OK" else "DIFF")
-        digest detail)
-    runs;
-  if mismatches = [] then subnote "  indexed merge: all policies byte-identical"
-  else begin
-    Printf.eprintf "policy-sweep: %d run(s) diverged from the reference digest\n"
-      (List.length mismatches);
     exit 1
   end
 
@@ -1004,7 +942,6 @@ let experiments =
     ("ablate-degen", ablate_degen);
     ("motivation", motivation);
     ("xsort", xsort);
-    ("policy-sweep", policy_sweep);
     ("tenants", tenants);
     ("ingest", ingest);
     ("micro", micro);

@@ -26,24 +26,6 @@ let ordering_term =
     & info [ "ordering"; "O" ] ~docv:"SPEC"
         ~doc:"Ordering specification (see $(b,nexsort --help)); must be scan-evaluable.")
 
-(* The replacement policy of the index B-tree's buffer pool, the only
-   paged component, so --policy exists only with --indexed. *)
-let policy_term =
-  let policies =
-    List.map
-      (fun p -> (Extmem.Frame_arena.policy_to_string p, p))
-      Extmem.Frame_arena.all_policies
-  in
-  Arg.(
-    value
-    & opt (some (enum policies)) None
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          "With $(b,--indexed): frame replacement policy of the index's buffer pool, \
-           $(b,lru) (the default), $(b,clock), $(b,mru) or $(b,stack) (the paper's \
-           no-prefetch stack pager).  The merged output is identical under every policy; \
-           only the pager counters move.")
-
 let struct_merge_report ~tool (r : Xmerge.Struct_merge.report) =
   let rep = Obs.Report.create ~tool in
   Obs.Report.add rep "counts"
@@ -136,7 +118,7 @@ let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output
         (List.length flushes) output;
       finish (`Ok ()))
 
-let run ordering presorted update_mode ingest_mode flush_every indexed policy device metrics
+let run ordering presorted update_mode ingest_mode flush_every indexed device metrics
     trace left_path right_paths output =
   match Cli_common.prepare_trace trace with
   | Error msg -> `Error (false, msg)
@@ -149,7 +131,6 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     let left = read_file left_path in
     let right = match right_paths with r :: _ -> read_file r | [] -> "" in
     match device with
-    | _ when policy <> None && not indexed -> `Error (false, "--policy requires --indexed")
     | _ when ingest_mode && (update_mode || indexed || presorted) ->
         `Error (false, "--ingest does not compose with --update/--indexed/--presorted")
     | _ when flush_every < 1 -> `Error (false, "--flush-every must be >= 1")
@@ -162,7 +143,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     | Some _ when update_mode -> `Error (false, "--device is not supported with --update")
     | _ when indexed ->
         (* Index-assisted nested-loop merge (§1's "additional index"): works
-           on unsorted inputs; the index's buffer pool is where the pager
+           on unsorted inputs; the index's page cache is where the pager
            statistics come from. *)
         let spec = Option.value device ~default:Extmem.Device_spec.default in
         let block_size = 4096 in
@@ -174,7 +155,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         let ldev = load "left" left and rdev = load "right" right in
         let odev = Extmem.Device_spec.scratch spec ~name:"output" ~block_size in
         let r =
-          Xmerge.Indexed_merge.merge_devices ?policy ~ordering ~left:ldev ~right:rdev ~output:odev
+          Xmerge.Indexed_merge.merge_devices ~ordering ~left:ldev ~right:rdev ~output:odev
             ()
         in
         write_file output (Extmem.Device.contents odev);
@@ -341,8 +322,7 @@ let cmd =
             & info [ "indexed" ]
                 ~doc:
                   "Use the index-assisted nested-loop merge instead of sort-then-merge (works on \
-                   unsorted inputs; reports the index buffer pool's hit/miss statistics).")
-        $ policy_term
+                   unsorted inputs; reports the index page cache's hit/miss statistics).")
         $ Cli_common.device_term
         $ Cli_common.metrics_term
         $ Cli_common.trace_term

@@ -19,7 +19,7 @@ type t = {
   arena : Extmem.Frame_arena.t;
       (** the session-wide frame arena over {!field-budget}: every
           block-holding component (stack windows, stream buffers, sort
-          leases, pager caches) draws its frames here under a [who]
+          leases) leases its frames here under a [who]
           label, so budget exhaustion and the metrics report name the
           owners *)
   dict : Xmlio.Dict.t;

@@ -295,16 +295,7 @@ let job_name (j : job) = j.j_name
 
 let job_tenant (j : job) = j.j_tenant
 
-let metrics_json t =
-  let snap = Obs.Registry.snapshot t.registry in
-  Obs.Json.Obj
-    (List.map
-       (fun (name, v) ->
-         let v =
-           if Float.is_integer v then Obs.Json.Int (int_of_float v) else Obs.Json.Float v
-         in
-         (name, v))
-       snap)
+let metrics_json t = Obs.Registry.snapshot_to_json (Obs.Registry.snapshot t.registry)
 
 (* the per-job "job" report section: who ran, how long it queued, and
    the engine counters at report time *)

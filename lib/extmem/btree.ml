@@ -105,8 +105,8 @@ let alloc_block t =
   let block = Device.allocate t.dev 1 in
   block
 
-let create ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
-  let pager = Pager.create ?arena ~who ?policy ~frames dev in
+let create ?(frames = 8) ~cmp dev =
+  let pager = Pager.create ~frames dev in
   let meta_block = Device.allocate dev 1 in
   let t = { dev; pager; cmp; meta_block; root = 0; count = 0 } in
   let root = alloc_block t in
@@ -115,8 +115,8 @@ let create ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
   write_meta t;
   t
 
-let reopen ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
-  let pager = Pager.create ?arena ~who ?policy ~frames dev in
+let reopen ?(frames = 8) ~cmp dev =
+  let pager = Pager.create ~frames dev in
   let t = { dev; pager; cmp; meta_block = 0; root = 0; count = 0 } in
   let c = Codec.cursor (Pager.read_page pager 0) in
   if Codec.get_u8 c <> magic then raise (Codec.Corrupt "Btree.reopen: bad magic");

@@ -3,8 +3,8 @@
     The "additional index" of the paper's §1: the naive nested-loop merge
     scans half of a subtree on average to find a matching element —
     {e "unless there is an additional index"}.  This is that index: a
-    disk-resident B+-tree over a {!Device.t}, accessed through a
-    {!Pager.t} so hot paths stay cached within a bounded frame budget.
+    disk-resident B+-tree over a {!Device.t}, accessed through an LRU
+    {!Pager.t} so hot paths stay cached in a bounded number of frames.
     The indexed-merge comparator in [bench/main.exe motivation] is built
     on it.
 
@@ -22,27 +22,12 @@
 
 type t
 
-val create :
-  ?arena:Frame_arena.t ->
-  ?who:string ->
-  ?policy:Pager.policy ->
-  ?frames:int ->
-  cmp:(string -> string -> int) ->
-  Device.t ->
-  t
+val create : ?frames:int -> cmp:(string -> string -> int) -> Device.t -> t
 (** Initialise a fresh tree on an empty device region (allocates the meta
-    page and an empty root leaf).  [frames] (default 8) is the pager's
-    cache budget, drawn from [arena] under [who] (default ["btree"])
-    when given; [policy] selects the pager's replacement policy. *)
+    page and an empty root leaf).  [frames] (default 8) is the size of
+    the tree's page cache. *)
 
-val reopen :
-  ?arena:Frame_arena.t ->
-  ?who:string ->
-  ?policy:Pager.policy ->
-  ?frames:int ->
-  cmp:(string -> string -> int) ->
-  Device.t ->
-  t
+val reopen : ?frames:int -> cmp:(string -> string -> int) -> Device.t -> t
 (** Re-attach to a device previously written by {!create} + {!flush} (the
     comparator must be the one the tree was built with). *)
 
@@ -71,7 +56,7 @@ val flush : t -> unit
 (** Write all dirty pages back to the device. *)
 
 val pager : t -> Pager.t
-(** The underlying pager (for cache statistics). *)
+(** The tree's page cache (for its hit/miss counters). *)
 
 val height : t -> int
 (** Levels from root to leaves (1 = root is a leaf). *)

@@ -1,44 +1,15 @@
 (* One pool of block frames for the whole session.  Every component that
-   holds blocks in memory draws them from here — either as a [lease]
-   (plain accounting plus recycled buffers: stack windows, stream
-   buffers, sort arenas, merge fan-in) or as a [cache] (a pager-style
-   mapped frame set with a replacement policy and pin counts).  All
-   reservations flow through the shared [Memory_budget] under the
-   owner's [who] label, so exhaustion messages and metrics name the
-   component that holds each frame. *)
+   holds blocks in memory draws them from here as a [lease]: plain
+   accounting plus recycled buffers (stack windows, stream buffers, sort
+   arenas, merge fan-in).  All reservations flow through the shared
+   [Memory_budget] under the owner's [who] label, so exhaustion messages
+   and metrics name the component that holds each frame. *)
 
-type policy =
-  | Lru
-  | Clock
-  | Mru
-  | Stack
-
-let all_policies = [ Lru; Clock; Mru; Stack ]
-
-let policy_to_string = function
-  | Lru -> "lru"
-  | Clock -> "clock"
-  | Mru -> "mru"
-  | Stack -> "stack"
-
-let policy_of_string = function
-  | "lru" -> Some Lru
-  | "clock" -> Some Clock
-  | "mru" -> Some Mru
-  | "stack" -> Some Stack
-  | _ -> None
-
-(* Per-owner record: current/peak frame counts plus cumulative cache
-   counters.  Kept for the arena's life so metrics still cover owners
-   whose lease or cache has since been closed. *)
+(* Per-owner frame counts, kept for the arena's life so metrics still
+   cover owners whose lease has since been closed. *)
 type owner = {
-  o_name : string;
   mutable o_held : int;
   mutable o_peak : int;
-  mutable o_hits : int;
-  mutable o_misses : int;
-  mutable o_evictions : int;
-  mutable o_writebacks : int;
 }
 
 type owner_stats = {
@@ -50,22 +21,15 @@ type owner_stats = {
   writebacks : int;
 }
 
-type event = Evict | Writeback
-
 type t = {
   budget : Memory_budget.t option;
   pool : (int, bytes list ref) Hashtbl.t; (* buffer size -> free buffers *)
   table : (string, owner) Hashtbl.t;
   lock : Mutex.t; (* guards [pool] and [table]; never held across budget calls *)
-  mutable observer : (who:string -> event -> int -> unit) option;
-      (* caches are single-domain, so firing without the lock is safe *)
 }
 
 let create ?budget () =
-  { budget; pool = Hashtbl.create 4; table = Hashtbl.create 8; lock = Mutex.create ();
-    observer = None }
-
-let set_observer t f = t.observer <- Some f
+  { budget; pool = Hashtbl.create 4; table = Hashtbl.create 8; lock = Mutex.create () }
 
 let budget t = t.budget
 
@@ -73,14 +37,9 @@ let owner_u t who =
   match Hashtbl.find_opt t.table who with
   | Some o -> o
   | None ->
-      let o =
-        { o_name = who; o_held = 0; o_peak = 0; o_hits = 0; o_misses = 0; o_evictions = 0;
-          o_writebacks = 0 }
-      in
+      let o = { o_held = 0; o_peak = 0 } in
       Hashtbl.add t.table who o;
       o
-
-let owner t who = Mutex.protect t.lock (fun () -> owner_u t who)
 
 let reserve t ~who n =
   (match t.budget with Some b -> Memory_budget.reserve b ~who n | None -> ());
@@ -98,24 +57,20 @@ let release t ~who n =
       o.o_held <- o.o_held - n);
   match t.budget with Some b -> Memory_budget.release b ~who n | None -> ()
 
-let stats_of o =
-  { held = o.o_held; peak = o.o_peak; hits = o.o_hits; misses = o.o_misses;
-    evictions = o.o_evictions; writebacks = o.o_writebacks }
+let zero = { held = 0; peak = 0; hits = 0; misses = 0; evictions = 0; writebacks = 0 }
 
 let owners t =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun name o acc -> (name, stats_of o) :: acc) t.table [])
+      Hashtbl.fold
+        (fun name o acc -> (name, { zero with held = o.o_held; peak = o.o_peak }) :: acc)
+        t.table [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let totals t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.fold
-        (fun _ o acc ->
-          { held = acc.held + o.o_held; peak = acc.peak + o.o_peak; hits = acc.hits + o.o_hits;
-            misses = acc.misses + o.o_misses; evictions = acc.evictions + o.o_evictions;
-            writebacks = acc.writebacks + o.o_writebacks })
-        t.table
-        { held = 0; peak = 0; hits = 0; misses = 0; evictions = 0; writebacks = 0 })
+        (fun _ o acc -> { acc with held = acc.held + o.o_held; peak = acc.peak + o.o_peak })
+        t.table zero)
 
 (* Buffer recycling.  Frames handed out must be indistinguishable from a
    fresh [Bytes.create]: components (notably [Ext_stack.flush_block])
@@ -191,252 +146,3 @@ let close_lease l =
 let with_lease t ~who n f =
   let l = lease t ~who n in
   Fun.protect ~finally:(fun () -> close_lease l) (fun () -> f l)
-
-(* {2 Caches}
-
-   The mapped-frame machinery formerly private to [Pager], generalised
-   with pin counts and two more policies.  With every pin count at zero
-   the victim choices reduce exactly to the original Lru/Clock code, so
-   access patterns (and therefore I/O counts) are unchanged for callers
-   that never pin. *)
-
-type frame = {
-  mutable block : int; (* -1 = free *)
-  data : bytes;
-  mutable dirty : bool;
-  mutable stamp : int;       (* LRU/MRU timestamp *)
-  mutable referenced : bool; (* Clock bit *)
-  mutable pins : int;        (* > 0 = never evicted *)
-}
-
-type cache = {
-  c_arena : t;
-  c_owner : owner;
-  c_who : string;
-  dev : Device.t;
-  c_policy : policy;
-  frames : frame array;
-  map : (int, int) Hashtbl.t; (* block -> frame index *)
-  mutable tick : int;
-  mutable hand : int; (* Clock hand *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable writebacks : int;
-  mutable detached : bool;
-}
-
-let attach t ?(who = "pager") ?(policy = Lru) ~frames dev =
-  if frames < 1 then invalid_arg "Frame_arena.attach: frames must be >= 1";
-  reserve t ~who frames;
-  let bs = Device.block_size dev in
-  let mk _ =
-    { block = -1; data = take t bs; dirty = false; stamp = 0; referenced = false; pins = 0 }
-  in
-  {
-    c_arena = t;
-    c_owner = owner t who;
-    c_who = who;
-    dev;
-    c_policy = policy;
-    frames = Array.init frames mk;
-    map = Hashtbl.create (2 * frames);
-    tick = 0;
-    hand = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    writebacks = 0;
-    detached = false;
-  }
-
-let cache_device c = c.dev
-
-let cache_policy c = c.c_policy
-
-let cache_frames c = Array.length c.frames
-
-let hits c = c.hits
-
-let misses c = c.misses
-
-let evictions c = c.evictions
-
-let writebacks c = c.writebacks
-
-let write_back c f =
-  if f.dirty then begin
-    Device.write_block c.dev f.block f.data;
-    f.dirty <- false;
-    c.writebacks <- c.writebacks + 1;
-    c.c_owner.o_writebacks <- c.c_owner.o_writebacks + 1;
-    match c.c_arena.observer with
-    | Some obs -> obs ~who:c.c_who Writeback f.block
-    | None -> ()
-  end
-
-(* Victim scans.  Free frames always win (the last free frame found, as
-   in the original pager); among occupied frames Lru takes the strictly
-   lowest stamp, Mru the strictly highest, Stack the lowest block index
-   (the paper's no-prefetch rule: the block deepest below the stack top
-   goes first).  Pinned frames are invisible; -1 means everything is
-   pinned. *)
-
-let victim_scan c better =
-  let fs = c.frames in
-  let best = ref (-1) in
-  for i = 0 to Array.length fs - 1 do
-    let f = fs.(i) in
-    if f.pins = 0 then begin
-      if f.block = -1 then best := i
-      else if !best = -1 then best := i
-      else begin
-        let b = fs.(!best) in
-        if b.block <> -1 && better f b then best := i
-      end
-    end
-  done;
-  !best
-
-let victim_lru c = victim_scan c (fun f b -> f.stamp < b.stamp)
-
-let victim_mru c = victim_scan c (fun f b -> f.stamp > b.stamp)
-
-let victim_stack c = victim_scan c (fun f b -> f.block < b.block)
-
-let victim_clock c =
-  let n = Array.length c.frames in
-  if not (Array.exists (fun f -> f.pins = 0) c.frames) then -1
-  else
-    let rec spin guard =
-      let f = c.frames.(c.hand) in
-      let i = c.hand in
-      c.hand <- (c.hand + 1) mod n;
-      if f.pins > 0 then spin (guard + 1)
-      else if f.block = -1 then i
-      else if f.referenced && guard < 2 * n then begin
-        f.referenced <- false;
-        spin (guard + 1)
-      end
-      else i
-    in
-    spin 0
-
-let victim c =
-  let i =
-    match c.c_policy with
-    | Lru -> victim_lru c
-    | Clock -> victim_clock c
-    | Mru -> victim_mru c
-    | Stack -> victim_stack c
-  in
-  if i < 0 then
-    raise
-      (Memory_budget.Exhausted
-         (Printf.sprintf "%s: all %d frames are pinned" c.c_who (Array.length c.frames)));
-  i
-
-let touch c f =
-  c.tick <- c.tick + 1;
-  f.stamp <- c.tick;
-  f.referenced <- true
-
-(* Return the frame holding [block], faulting it in if needed. *)
-let frame_for c block =
-  match Hashtbl.find_opt c.map block with
-  | Some i ->
-      let f = c.frames.(i) in
-      c.hits <- c.hits + 1;
-      c.c_owner.o_hits <- c.c_owner.o_hits + 1;
-      touch c f;
-      f
-  | None ->
-      c.misses <- c.misses + 1;
-      c.c_owner.o_misses <- c.c_owner.o_misses + 1;
-      let i = victim c in
-      let f = c.frames.(i) in
-      if f.block <> -1 then begin
-        c.evictions <- c.evictions + 1;
-        c.c_owner.o_evictions <- c.c_owner.o_evictions + 1;
-        (match c.c_arena.observer with
-        | Some obs -> obs ~who:c.c_who Evict f.block
-        | None -> ());
-        write_back c f;
-        Hashtbl.remove c.map f.block
-      end;
-      if block < Device.block_count c.dev then Device.read_block c.dev block f.data
-      else Bytes.fill f.data 0 (Bytes.length f.data) '\000';
-      f.block <- block;
-      f.dirty <- false;
-      Hashtbl.replace c.map block i;
-      touch c f;
-      f
-
-let pin c block =
-  let f = frame_for c block in
-  f.pins <- f.pins + 1
-
-let unpin c block =
-  match Hashtbl.find_opt c.map block with
-  | Some i ->
-      let f = c.frames.(i) in
-      if f.pins = 0 then invalid_arg "Frame_arena.unpin: frame not pinned";
-      f.pins <- f.pins - 1
-  | None -> invalid_arg "Frame_arena.unpin: block not resident"
-
-let pinned c block =
-  match Hashtbl.find_opt c.map block with
-  | Some i -> c.frames.(i).pins
-  | None -> 0
-
-let read_byte c off =
-  let bs = Device.block_size c.dev in
-  let f = frame_for c (off / bs) in
-  Bytes.get f.data (off mod bs)
-
-let write_byte c off ch =
-  let bs = Device.block_size c.dev in
-  let block = off / bs in
-  while block >= Device.block_count c.dev do
-    ignore (Device.allocate c.dev 1)
-  done;
-  let f = frame_for c block in
-  Bytes.set f.data (off mod bs) ch;
-  f.dirty <- true
-
-let read c ~pos ~len = String.init len (fun i -> read_byte c (pos + i))
-
-let write c ~pos s = String.iteri (fun i ch -> write_byte c (pos + i) ch) s
-
-let read_page c block =
-  if block >= Device.block_count c.dev then
-    invalid_arg (Printf.sprintf "Frame_arena.read_page: block %d not allocated" block);
-  let f = frame_for c block in
-  Bytes.to_string f.data
-
-let write_page c block s =
-  let bs = Device.block_size c.dev in
-  if String.length s > bs then invalid_arg "Frame_arena.write_page: page larger than a block";
-  while block >= Device.block_count c.dev do
-    ignore (Device.allocate c.dev 1)
-  done;
-  let f = frame_for c block in
-  Bytes.fill f.data 0 bs '\000';
-  Bytes.blit_string s 0 f.data 0 (String.length s);
-  f.dirty <- true
-
-let flush c = Array.iter (fun f -> if f.block <> -1 then write_back c f) c.frames
-
-let detach c =
-  if not c.detached then begin
-    flush c;
-    Array.iter
-      (fun f ->
-        f.block <- -1;
-        f.pins <- 0;
-        give c.c_arena f.data)
-      c.frames;
-    Hashtbl.reset c.map;
-    release c.c_arena ~who:c.c_who (Array.length c.frames);
-    c.detached <- true
-  end

@@ -1,49 +1,102 @@
-(* A thin random-access view over arena frames: all policy, eviction and
-   frame bookkeeping lives in [Frame_arena].  A pager created without an
-   arena gets a private unbudgeted one, preserving the old standalone
-   behaviour. *)
+(* A fixed frame array mapped onto device blocks.  A miss takes the last
+   free frame if any, else the frame with the lowest touch stamp; only
+   dirty frames are written back. *)
 
-type policy = Frame_arena.policy =
-  | Lru
-  | Clock
-  | Mru
-  | Stack
+type frame = {
+  mutable block : int; (* -1 = free *)
+  data : bytes;
+  mutable dirty : bool;
+  mutable stamp : int; (* tick of the last access *)
+}
 
-type t = Frame_arena.cache
+type t = {
+  dev : Device.t;
+  frames : frame array;
+  map : (int, int) Hashtbl.t; (* block -> frame index *)
+  mutable tick : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable writebacks : int;
+}
 
-let create ?arena ?(who = "pager") ?policy ~frames dev =
+let create ~frames dev =
   if frames < 1 then invalid_arg "Pager.create: frames must be >= 1";
-  let arena = match arena with Some a -> a | None -> Frame_arena.create () in
-  Frame_arena.attach arena ~who ?policy ~frames dev
+  let bs = Device.block_size dev in
+  {
+    dev;
+    frames = Array.init frames (fun _ -> { block = -1; data = Bytes.create bs; dirty = false; stamp = 0 });
+    map = Hashtbl.create (2 * frames);
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    writebacks = 0;
+  }
 
-let device = Frame_arena.cache_device
+let hits t = t.hits
 
-let policy = Frame_arena.cache_policy
+let misses t = t.misses
 
-let hits = Frame_arena.hits
+let evictions t = t.evictions
 
-let misses = Frame_arena.misses
+let writebacks t = t.writebacks
 
-let evictions = Frame_arena.evictions
+let write_back t f =
+  if f.dirty then begin
+    Device.write_block t.dev f.block f.data;
+    f.dirty <- false;
+    t.writebacks <- t.writebacks + 1
+  end
 
-let writebacks = Frame_arena.writebacks
+let victim t =
+  let best = ref 0 in
+  for i = 1 to Array.length t.frames - 1 do
+    let f = t.frames.(i) and b = t.frames.(!best) in
+    if f.block = -1 || (b.block <> -1 && f.stamp < b.stamp) then best := i
+  done;
+  !best
 
-let read_byte = Frame_arena.read_byte
+(* Return the frame holding [block], faulting it in if needed. *)
+let frame_for t block =
+  let f =
+    match Hashtbl.find_opt t.map block with
+    | Some i ->
+        t.hits <- t.hits + 1;
+        t.frames.(i)
+    | None ->
+        t.misses <- t.misses + 1;
+        let i = victim t in
+        let f = t.frames.(i) in
+        if f.block <> -1 then begin
+          t.evictions <- t.evictions + 1;
+          write_back t f;
+          Hashtbl.remove t.map f.block
+        end;
+        if block < Device.block_count t.dev then Device.read_block t.dev block f.data
+        else Bytes.fill f.data 0 (Bytes.length f.data) '\000';
+        f.block <- block;
+        Hashtbl.replace t.map block i;
+        f
+  in
+  t.tick <- t.tick + 1;
+  f.stamp <- t.tick;
+  f
 
-let write_byte = Frame_arena.write_byte
+let read_page t block =
+  if block >= Device.block_count t.dev then
+    invalid_arg (Printf.sprintf "Pager.read_page: block %d not allocated" block);
+  Bytes.to_string (frame_for t block).data
 
-let read = Frame_arena.read
+let write_page t block s =
+  let bs = Device.block_size t.dev in
+  if String.length s > bs then invalid_arg "Pager.write_page: page larger than a block";
+  while block >= Device.block_count t.dev do
+    ignore (Device.allocate t.dev 1)
+  done;
+  let f = frame_for t block in
+  Bytes.fill f.data 0 bs '\000';
+  Bytes.blit_string s 0 f.data 0 (String.length s);
+  f.dirty <- true
 
-let write = Frame_arena.write
-
-let read_page = Frame_arena.read_page
-
-let write_page = Frame_arena.write_page
-
-let pin = Frame_arena.pin
-
-let unpin = Frame_arena.unpin
-
-let flush = Frame_arena.flush
-
-let detach = Frame_arena.detach
+let flush t = Array.iter (fun f -> if f.block <> -1 then write_back t f) t.frames

@@ -115,14 +115,9 @@ module Registry : sig
 
   val snapshot : t -> snapshot
 
-  val diff : snapshot -> snapshot -> snapshot
-  (** [diff now before]: componentwise difference; names missing from
-      [before] count from zero, names missing from [now] are dropped. *)
-
   val snapshot_to_json : snapshot -> Json.t
-  val snapshot_of_json : Json.t -> snapshot
-  (** Inverse of {!snapshot_to_json} (for report round-trips).
-      @raise Failure on a value that is not a number. *)
+  (** One JSON object keyed by metric name; integral values render as
+      JSON ints. *)
 
   val to_json : t -> Json.t
   (** Full structured dump: [{"counters": ..., "gauges": ...,
@@ -288,10 +283,6 @@ module Probe : sig
   (** [dev.<prefix>.reads|writes] (blocks), [dev.<prefix>.blocks]
       (allocated size), [dev.<prefix>.sim_ms] (when a cost layer is
       attached). *)
-
-  val pager : Registry.t -> prefix:string -> Extmem.Pager.t -> unit
-  (** [pager.<prefix>.hits|misses|evictions|writebacks] (block
-      accesses). *)
 
   val ext_stack : Registry.t -> prefix:string -> Extmem.Ext_stack.t -> unit
   (** [stack.<prefix>.pushes|pops] (entries),

@@ -101,13 +101,13 @@ let children_of index parent_off =
       else false);
   List.rev !acc
 
-let merge_devices ?policy ~ordering ~left ~right ~output () =
+let merge_devices ~ordering ~left ~right ~output () =
   if not (Ordering.all_scan_evaluable ordering) then
     invalid_arg "Indexed_merge: ordering must be scan-evaluable";
   let t0 = Unix.gettimeofday () in
   (* larger blocks pack more index entries per page *)
   let index_dev = Extmem.Device_spec.(scratch default ~name:"index" ~block_size:4096) in
-  let index = Extmem.Btree.create ?policy ~frames:8 ~cmp:compare_keys index_dev in
+  let index = Extmem.Btree.create ~frames:8 ~cmp:compare_keys index_dev in
   let io_meter () =
     Extmem.Io_stats.add
       (Extmem.Io_stats.add
@@ -202,12 +202,11 @@ let merge_devices ?policy ~ordering ~left ~right ~output () =
     spans = Obs.Spans.close spans;
   }
 
-let merge_strings ?policy ~ordering ?(block_size = 1024) ?(device = Extmem.Device_spec.default) l r
-    =
+let merge_strings ~ordering ?(block_size = 1024) ?(device = Extmem.Device_spec.default) l r =
   let left = Extmem.Device_spec.scratch device ~name:"left" ~block_size in
   Extmem.Device.load_string left l;
   let right = Extmem.Device_spec.scratch device ~name:"right" ~block_size in
   Extmem.Device.load_string right r;
   let output = Extmem.Device_spec.scratch device ~name:"output" ~block_size in
-  let report = merge_devices ?policy ~ordering ~left ~right ~output () in
+  let report = merge_devices ~ordering ~left ~right ~output () in
   (Extmem.Device.contents output, report)

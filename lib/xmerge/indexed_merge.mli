@@ -24,7 +24,7 @@ type report = {
   index_io : Extmem.Io_stats.t;        (** total index-device I/O *)
   output_io : Extmem.Io_stats.t;
   total_io : Extmem.Io_stats.t;
-  pager_hits : int;        (** index buffer-pool hits (the probe cost) *)
+  pager_hits : int;        (** index page-cache hits (the probe cost) *)
   pager_misses : int;
   pager_evictions : int;
   pager_writebacks : int;
@@ -35,7 +35,6 @@ type report = {
 }
 
 val merge_devices :
-  ?policy:Extmem.Frame_arena.policy ->
   ordering:Nexsort.Ordering.t ->
   left:Extmem.Device.t ->
   right:Extmem.Device.t ->
@@ -43,13 +42,9 @@ val merge_devices :
   unit ->
   report
 (** Same semantics and restrictions as {!Naive_merge.merge_devices}; the
-    index lives on a private device whose I/O is reported separately.
-    [policy] selects the index buffer pool's replacement policy (default
-    LRU) — the merged output is identical under every policy, only the
-    pager counters move. *)
+    index lives on a private device whose I/O is reported separately. *)
 
 val merge_strings :
-  ?policy:Extmem.Frame_arena.policy ->
   ordering:Nexsort.Ordering.t ->
   ?block_size:int ->
   ?device:Extmem.Device_spec.t ->

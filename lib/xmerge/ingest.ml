@@ -397,7 +397,7 @@ let create ?(config = Nexsort.Config.make ()) ?session ~ordering ~base () =
   let pq_temp = Nexsort.Config.scratch_device config ~name:"ingest-pq" in
   (* The index lives on its own device with blocks big enough for the
      quarter-block entry limit even under tiny sort geometries; its
-     pager is standalone (unaccounted), like any side index. *)
+     page cache is charged to no budget, like any side index. *)
   let index_dev = Extmem.Device.in_memory ~block_size:(max 1024 bs) () in
   Extmem.Device.load_string base_dev sorted;
   let pq = Extsort.Ext_pq.create ~arena ~budget ~temp:pq_temp ~cmp:pq_cmp () in

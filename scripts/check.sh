@@ -36,12 +36,6 @@ dune exec bench/main.exe -- --quick --metrics /tmp/m.json > /dev/null
 dune exec bench/main.exe -- validate-metrics /tmp/m.json
 dune exec bench/main.exe -- compare-metrics BENCH_smoke.json /tmp/m.json
 
-# Replacement-policy sweep over the indexed merge's B-tree buffer pool,
-# the one paged component: every frame-arena policy must produce
-# byte-identical merged output (the experiment exits non-zero on a digest
-# mismatch); only the pager counters may differ.
-dune exec bench/main.exe -- --quick policy-sweep > /dev/null
-
 # Incremental-maintenance gate (E-ingest): a k-subtree update batch
 # buffered in the external priority queue and flushed through
 # Xmerge.Ingest must cost strictly fewer block I/Os than re-sorting the

@@ -930,134 +930,119 @@ let prop_ext_stack_push_io_linear =
 (* ------------------------------------------------------------------ *)
 (* Pager *)
 
-let pager_test policy () =
+let test_pager_basics () =
   let d = Extmem.Device.in_memory ~block_size:8 () in
   ignore (Extmem.Device.allocate d 8);
-  let p = Extmem.Pager.create ~policy ~frames:3 d in
-  (* write a pattern through the pager, read it back *)
-  Extmem.Pager.write p ~pos:0 "abcdefghijklmnopqrstuvwxyz0123456789";
-  check Alcotest.string "read back" "abcdefghijklmnopqrstuvwxyz0123456789"
-    (Extmem.Pager.read p ~pos:0 ~len:36);
+  let p = Extmem.Pager.create ~frames:3 d in
+  (* write five pages through the pager, read them back newest first *)
+  let pages = [| "abcdefgh"; "ijklmnop"; "qrstuvwx"; "yz012345"; "6789ABCD" |] in
+  Array.iteri (Extmem.Pager.write_page p) pages;
+  for i = Array.length pages - 1 downto 0 do
+    check Alcotest.string "read back" pages.(i) (Extmem.Pager.read_page p i)
+  done;
   Extmem.Pager.flush p;
   (* after flush the device must contain the data *)
   let b = Bytes.make 8 '?' in
   Extmem.Device.read_block d 0 b;
   check Alcotest.string "flushed" "abcdefgh" (Bytes.to_string b);
+  Extmem.Pager.write_page p 5 "xy";
+  check Alcotest.string "short page zero-padded" "xy\000\000\000\000\000\000"
+    (Extmem.Pager.read_page p 5);
   check Alcotest.bool "some hits" true (Extmem.Pager.hits p > 0);
   check Alcotest.bool "some misses" true (Extmem.Pager.misses p > 0)
 
 let test_pager_lru_eviction_order () =
   let d = Extmem.Device.in_memory ~block_size:4 () in
   ignore (Extmem.Device.allocate d 10);
-  let p = Extmem.Pager.create ~policy:Extmem.Pager.Lru ~frames:2 d in
-  ignore (Extmem.Pager.read_byte p 0);  (* block 0 *)
-  ignore (Extmem.Pager.read_byte p 4);  (* block 1 *)
-  ignore (Extmem.Pager.read_byte p 0);  (* touch block 0 *)
-  ignore (Extmem.Pager.read_byte p 8);  (* block 2 evicts block 1 (LRU) *)
+  let p = Extmem.Pager.create ~frames:2 d in
+  ignore (Extmem.Pager.read_page p 0);
+  ignore (Extmem.Pager.read_page p 1);
+  ignore (Extmem.Pager.read_page p 0);  (* touch block 0 *)
+  ignore (Extmem.Pager.read_page p 2);  (* block 2 evicts block 1 (LRU) *)
   let misses_before = Extmem.Pager.misses p in
-  ignore (Extmem.Pager.read_byte p 0);  (* block 0 should still be resident *)
+  ignore (Extmem.Pager.read_page p 0);  (* block 0 should still be resident *)
   check Alcotest.int "block 0 still cached" misses_before (Extmem.Pager.misses p);
-  ignore (Extmem.Pager.read_byte p 4);  (* block 1 was evicted: miss *)
+  ignore (Extmem.Pager.read_page p 1);  (* block 1 was evicted: miss *)
   check Alcotest.int "block 1 missed" (misses_before + 1) (Extmem.Pager.misses p)
 
 let test_pager_eviction_writeback_counters () =
   let d = Extmem.Device.in_memory ~block_size:4 () in
   ignore (Extmem.Device.allocate d 10);
-  let p = Extmem.Pager.create ~policy:Extmem.Pager.Lru ~frames:2 d in
-  ignore (Extmem.Pager.read_byte p 0);   (* miss, empty frame *)
-  ignore (Extmem.Pager.read_byte p 4);   (* miss, empty frame *)
+  let p = Extmem.Pager.create ~frames:2 d in
+  ignore (Extmem.Pager.read_page p 0);   (* miss, empty frame *)
+  ignore (Extmem.Pager.read_page p 1);   (* miss, empty frame *)
   check Alcotest.int "no evictions while frames are free" 0 (Extmem.Pager.evictions p);
-  ignore (Extmem.Pager.read_byte p 8);   (* evicts clean block 0 *)
+  ignore (Extmem.Pager.read_page p 2);   (* evicts clean block 0 *)
   check Alcotest.int "clean eviction counted" 1 (Extmem.Pager.evictions p);
   check Alcotest.int "clean eviction writes nothing" 0 (Extmem.Pager.writebacks p);
-  Extmem.Pager.write_byte p 4 'x';       (* dirty block 1, now MRU *)
-  ignore (Extmem.Pager.read_byte p 0);   (* evicts clean block 2 *)
+  Extmem.Pager.write_page p 1 "xxxx";    (* dirty block 1, now MRU *)
+  ignore (Extmem.Pager.read_page p 0);   (* evicts clean block 2 *)
   check Alcotest.int "second clean eviction" 2 (Extmem.Pager.evictions p);
   check Alcotest.int "still no writeback" 0 (Extmem.Pager.writebacks p);
-  ignore (Extmem.Pager.read_byte p 8);   (* evicts dirty block 1 *)
+  ignore (Extmem.Pager.read_page p 2);   (* evicts dirty block 1 *)
   check Alcotest.int "dirty eviction counted" 3 (Extmem.Pager.evictions p);
   check Alcotest.int "dirty eviction written back" 1 (Extmem.Pager.writebacks p);
   Extmem.Pager.flush p;
   check Alcotest.int "flush of clean frames writes nothing" 1 (Extmem.Pager.writebacks p);
-  check Alcotest.char "evicted write landed" 'x' (Extmem.Pager.read_byte p 4)
+  check Alcotest.string "evicted write landed" "xxxx" (Extmem.Pager.read_page p 1)
 
 let test_pager_write_extends_device () =
   let d = Extmem.Device.in_memory ~block_size:4 () in
   let p = Extmem.Pager.create ~frames:2 d in
-  Extmem.Pager.write_byte p 9 'z';
+  Extmem.Pager.write_page p 2 "z";
   Extmem.Pager.flush p;
   check Alcotest.bool "extended" true (Extmem.Device.block_count d >= 3);
-  check Alcotest.char "value" 'z' (Extmem.Pager.read_byte p 9)
+  check Alcotest.string "value" "z\000\000\000" (Extmem.Pager.read_page p 2)
+
+let test_pager_clean_evictions_cost_no_writes () =
+  (* dirty-only write-back, asserted through the device's accounting:
+     a read-only workload that overflows the pool many times over must
+     not write a single block *)
+  let d = Extmem.Device.in_memory ~block_size:4 () in
+  ignore (Extmem.Device.allocate d 32);
+  let p = Extmem.Pager.create ~frames:2 d in
+  Extmem.Io_stats.reset (Extmem.Device.stats d);
+  for i = 0 to 127 do
+    ignore (Extmem.Pager.read_page p (i mod 32))
+  done;
+  Extmem.Pager.flush p;
+  let s = Extmem.Device.stats d in
+  check Alcotest.bool "evictions happened" true (Extmem.Pager.misses p > 2);
+  check Alcotest.int "clean evictions write nothing" 0 s.Extmem.Io_stats.writes;
+  (* one dirty page: exactly the dirty frame is written back *)
+  Extmem.Pager.write_page p 0 "!";
+  ignore (Extmem.Pager.read_page p 2);
+  ignore (Extmem.Pager.read_page p 4);
+  Extmem.Pager.flush p;
+  check Alcotest.int "only the dirty frame written" 1 s.Extmem.Io_stats.writes
 
 let prop_pager_matches_device =
+  (* [Some page] writes a block, [None] reads it back against the model *)
   QCheck.Test.make ~name:"Pager read/write matches a plain byte array" ~count:150
     QCheck.(
-      triple (int_range 1 4)
-        (list (pair (int_bound 63) printable_char))
-        bool)
-    (fun (frames, writes, use_clock) ->
+      pair (int_range 1 4)
+        (list (pair (int_bound 7) (option (string_of_size (Gen.int_bound 8))))))
+    (fun (frames, ops) ->
       let d = Extmem.Device.in_memory ~block_size:8 () in
       ignore (Extmem.Device.allocate d 8);
-      let policy = if use_clock then Extmem.Pager.Clock else Extmem.Pager.Lru in
-      let p = Extmem.Pager.create ~policy ~frames d in
+      let p = Extmem.Pager.create ~frames d in
       let model = Bytes.make 64 '\000' in
-      List.iter
-        (fun (off, c) ->
-          Extmem.Pager.write_byte p off c;
-          Bytes.set model off c)
-        writes;
+      let page b = Bytes.sub_string model (b * 8) 8 in
       let ok = ref true in
-      for i = 0 to 63 do
-        if Extmem.Pager.read_byte p i <> Bytes.get model i then ok := false
+      List.iter
+        (fun (b, op) ->
+          match op with
+          | Some s ->
+              Extmem.Pager.write_page p b s;
+              Bytes.fill model (b * 8) 8 '\000';
+              Bytes.blit_string s 0 model (b * 8) (String.length s)
+          | None -> if Extmem.Pager.read_page p b <> page b then ok := false)
+        ops;
+      for b = 0 to 7 do
+        if Extmem.Pager.read_page p b <> page b then ok := false
       done;
       Extmem.Pager.flush p;
       !ok && Extmem.Device.contents d = Bytes.to_string model)
-
-let prop_pager_policies_with_pins =
-  (* every replacement policy, with a strict subset of the frames pinned
-     across the whole run: reads/writes must still match a plain byte
-     array, pinned blocks must survive all the eviction traffic, and the
-     flushed device must be byte-identical to the model *)
-  QCheck.Test.make ~name:"Frame cache matches a byte array under every policy with pins"
-    ~count:200
-    QCheck.(
-      quad (int_range 2 4) (int_bound 3)
-        (list_of_size (Gen.int_range 1 3) (int_bound 7))
-        (list (pair (int_bound 63) printable_char)))
-    (fun (frames, pidx, pin_blocks, writes) ->
-      let policy = List.nth Extmem.Frame_arena.all_policies pidx in
-      let d = Extmem.Device.in_memory ~block_size:8 () in
-      ignore (Extmem.Device.allocate d 8);
-      let arena = Extmem.Frame_arena.create () in
-      let c = Extmem.Frame_arena.attach arena ~who:"prop" ~policy ~frames d in
-      (* at most frames-1 pinned blocks, so eviction always has a victim *)
-      let pins =
-        List.filteri (fun i _ -> i < frames - 1) (List.sort_uniq compare pin_blocks)
-      in
-      List.iter (Extmem.Frame_arena.pin c) pins;
-      let model = Bytes.make 64 '\000' in
-      List.iter
-        (fun (off, ch) ->
-          Extmem.Frame_arena.write_byte c off ch;
-          Bytes.set model off ch)
-        writes;
-      let ok = ref true in
-      for i = 0 to 63 do
-        if Extmem.Frame_arena.read_byte c i <> Bytes.get model i then ok := false
-      done;
-      List.iter
-        (fun b -> if Extmem.Frame_arena.pinned c b = 0 then ok := false)
-        pins;
-      List.iter (Extmem.Frame_arena.unpin c) pins;
-      Extmem.Frame_arena.flush c;
-      let same = Extmem.Device.contents d = Bytes.to_string model in
-      Extmem.Frame_arena.detach c;
-      (* the owner's counters survive the detach *)
-      let survived =
-        List.mem_assoc "prop" (Extmem.Frame_arena.owners arena)
-        && (Extmem.Frame_arena.totals arena).Extmem.Frame_arena.misses > 0
-      in
-      !ok && same && survived)
 
 (* ------------------------------------------------------------------ *)
 (* Btree *)
@@ -1576,52 +1561,6 @@ let test_cost_layer () =
   Extmem.Device.write_block d 3 (Bytes.make 4 'z');
   check Alcotest.bool "ssd write charged" true (Extmem.Cost_model.elapsed_ms c < 1.)
 
-let test_pager_policies_same_contents () =
-  (* LRU and Clock evict different frames but must produce identical
-     final device contents under the same write workload *)
-  let run policy =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 16);
-    let p = Extmem.Pager.create ~policy ~frames:3 d in
-    let rng = ref 123456789 in
-    for i = 0 to 499 do
-      rng := (!rng * 1103515245) + 12345;
-      let off = abs !rng mod 64 in
-      if i mod 3 = 0 then ignore (Extmem.Pager.read_byte p off)
-      else Extmem.Pager.write_byte p off (Char.chr (65 + (i mod 26)))
-    done;
-    Extmem.Pager.flush p;
-    Extmem.Device.contents d
-  in
-  check Alcotest.string "lru = clock"
-    (run Extmem.Pager.Lru) (run Extmem.Pager.Clock)
-
-let test_pager_clean_evictions_cost_no_writes () =
-  (* dirty-only write-back, asserted through the device's accounting:
-     a read-only workload that overflows the pool many times over must
-     not write a single block *)
-  let check_policy policy =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 32);
-    let p = Extmem.Pager.create ~policy ~frames:2 d in
-    Extmem.Io_stats.reset (Extmem.Device.stats d);
-    for i = 0 to 127 do
-      ignore (Extmem.Pager.read_byte p (i * 4 mod 128))
-    done;
-    Extmem.Pager.flush p;
-    let s = Extmem.Device.stats d in
-    check Alcotest.bool "evictions happened" true (Extmem.Pager.misses p > 2);
-    check Alcotest.int "clean evictions write nothing" 0 s.Extmem.Io_stats.writes;
-    (* one dirty byte: exactly the dirty frame is written back *)
-    Extmem.Pager.write_byte p 0 '!';
-    ignore (Extmem.Pager.read_byte p 8);
-    ignore (Extmem.Pager.read_byte p 16);
-    Extmem.Pager.flush p;
-    check Alcotest.int "only the dirty frame written" 1 s.Extmem.Io_stats.writes
-  in
-  check_policy Extmem.Pager.Lru;
-  check_policy Extmem.Pager.Clock
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1718,16 +1657,13 @@ let () =
         ] );
       ( "pager",
         [
-          Alcotest.test_case "lru basics" `Quick (pager_test Extmem.Pager.Lru);
-          Alcotest.test_case "clock basics" `Quick (pager_test Extmem.Pager.Clock);
+          Alcotest.test_case "lru basics" `Quick test_pager_basics;
           Alcotest.test_case "lru eviction order" `Quick test_pager_lru_eviction_order;
           Alcotest.test_case "write extends device" `Quick test_pager_write_extends_device;
-          Alcotest.test_case "policies agree on contents" `Quick test_pager_policies_same_contents;
           Alcotest.test_case "dirty-only writeback" `Quick test_pager_clean_evictions_cost_no_writes;
           Alcotest.test_case "eviction/writeback counters" `Quick
             test_pager_eviction_writeback_counters;
           qcheck prop_pager_matches_device;
-          qcheck prop_pager_policies_with_pins;
         ] );
       ( "btree",
         [

@@ -110,14 +110,19 @@ let test_registry_snapshot_diff () =
   g := 25.;
   Obs.Histogram.observe h 1;
   let now = Obs.Registry.snapshot r in
-  let d = Obs.Registry.diff now before in
-  check (Alcotest.float 1e-9) "counter delta" 2. (List.assoc "c" d);
-  check (Alcotest.float 1e-9) "gauge delta" 15. (List.assoc "g" d);
-  check (Alcotest.float 1e-9) "histogram count delta" 1. (List.assoc "h.count" d);
-  check (Alcotest.float 1e-9) "histogram sum delta" 1. (List.assoc "h.sum" d);
-  (* snapshot -> json -> snapshot round-trip *)
-  let rt = Obs.Registry.snapshot_of_json (Obs.Registry.snapshot_to_json now) in
-  check Alcotest.bool "snapshot json round-trip" true (rt = now);
+  let delta name = List.assoc name now -. List.assoc name before in
+  check (Alcotest.float 1e-9) "counter delta" 2. (delta "c");
+  check (Alcotest.float 1e-9) "gauge delta" 15. (delta "g");
+  check (Alcotest.float 1e-9) "histogram count delta" 1. (delta "h.count");
+  check (Alcotest.float 1e-9) "histogram sum delta" 1. (delta "h.sum");
+  (* integral values render as JSON ints, in registration order *)
+  check Alcotest.bool "snapshot json" true
+    (Obs.Registry.snapshot_to_json now
+    = Obs.Json.Obj
+        [ ("c", Obs.Json.Int 5); ("g", Obs.Json.Int 25); ("h.count", Obs.Json.Int 2);
+          ("h.sum", Obs.Json.Int 8) ]);
+  check Alcotest.bool "fractional value stays a float" true
+    (Obs.Registry.snapshot_to_json [ ("x", 0.5) ] = Obs.Json.Obj [ ("x", Obs.Json.Float 0.5) ]);
   (* gauge re-registration replaces the callback *)
   Obs.Registry.gauge r "g" (fun () -> 1.);
   check (Alcotest.float 1e-9) "gauge replaced" 1. (List.assoc "g" (Obs.Registry.snapshot r))

@@ -308,6 +308,24 @@ let test_indexed_merge_reads_right_less () =
     (indexed.Xmerge.Indexed_merge.right_io.Extmem.Io_stats.reads
     < naive.Xmerge.Naive_merge.right_io.Extmem.Io_stats.reads)
 
+let test_indexed_merge_lru_pinned () =
+  (* the B-tree's page cache is LRU: this merge overflows its 8 frames,
+     and any change to the victim choice moves the four counters *)
+  let pair =
+    Xmlgen.Company.generate ~seed:11 ~regions:6 ~branches_per_region:6 ~employees_per_branch:48
+      ()
+  in
+  let out, r =
+    Xmerge.Indexed_merge.merge_strings ~ordering:Xmlgen.Company.ordering
+      pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll
+  in
+  check Alcotest.string "output digest" "3355f162b6e913e02cb3b3c419f8d134"
+    (Digest.to_hex (Digest.string out));
+  check
+    Alcotest.(list int)
+    "hits, misses, evictions, writebacks" [ 33297; 168; 160; 79 ]
+    Xmerge.Indexed_merge.[ r.pager_hits; r.pager_misses; r.pager_evictions; r.pager_writebacks ]
+
 let test_naive_merge_rejects_fancy_markup () =
   try
     ignore
@@ -668,6 +686,7 @@ let () =
           Alcotest.test_case "rejects fancy markup" `Quick test_naive_merge_rejects_fancy_markup;
           Alcotest.test_case "indexed matches naive" `Quick test_indexed_merge_matches_naive;
           Alcotest.test_case "indexed reads right less" `Quick test_indexed_merge_reads_right_less;
+          Alcotest.test_case "indexed lru counters pinned" `Quick test_indexed_merge_lru_pinned;
         ] );
       ( "batch_update",
         [
